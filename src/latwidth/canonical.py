@@ -23,11 +23,11 @@ from .core import (
     Vec,
     apply_map,
     compose_maps,
-    cross,
     invert_map,
     make_primitive,
     sub,
 )
+from .width import _xgcd
 
 _MIRROR = UnimodularMap(1, 0, 0, -1)
 
@@ -42,28 +42,12 @@ class CanonicalForm:
     def byte_key(self) -> str:
         return ",".join(str(c) for v in self.vertices for c in v)
 
-    def polygon(self) -> Polygon:
-        from .core import convex_hull
-
-        return convex_hull(self.vertices)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
 
 def _matrix_sending_to_x_axis(e: Vec) -> UnimodularMap:
     # determinant +1 matrix with A e = (1, 0); rows (s, t) and (-ey, ex)
     g, s, t = _xgcd(e[0], e[1])
-    assert abs(g) == 1
+    if abs(g) != 1:
+        raise ValueError(f"{e} is not a primitive vector")
     if g < 0:
         s, t = -s, -t
     return UnimodularMap(s, t, -e[1], e[0])
@@ -83,7 +67,8 @@ def _normalizing_map(q: Polygon, i: int, outgoing: bool) -> UnimodularMap:
         f = make_primitive(sub(vs[(i + 1) % n], v))
     base = _matrix_sending_to_x_axis(e)
     a0, b0 = base.apply(f)
-    assert b0 > 0, "convex counterclockwise corner maps above the x-axis"
+    if b0 <= 0:
+        raise ValueError(f"{v} is not a convex counterclockwise corner")
     t = a0 // b0
     shear = UnimodularMap(1, -t, 0, 1)
     m = compose_maps(shear, base)
@@ -146,5 +131,6 @@ def are_equivalent(p: Polygon, q: Polygon) -> Optional[UnimodularMap]:
     if fp.vertices != fq.vertices:
         return None
     witness = compose_maps(invert_map(mq), mp)
-    assert apply_map(witness, p) == q
+    if apply_map(witness, p) != q:
+        raise RuntimeError("equal canonical forms but the witness map misses q")
     return witness

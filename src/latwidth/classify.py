@@ -11,7 +11,6 @@ acceptance test.
 from __future__ import annotations
 
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from math import gcd
@@ -28,6 +27,7 @@ from .core import (
     convex_hull,
     cross,
     doubled_area,
+    lattice_point_count,
     lattice_points,
     sub,
 )
@@ -259,47 +259,40 @@ class EnumerationStats:
         return cls(*(defaultdict(int) for _ in range(4)))
 
 
-def _assess_params(params: TypeParams):
-    poly = generate(params)
-    report = is_minimal(poly)
-    if not report.is_minimal:
-        return params, None, report.width, 0, 0
-    form = canonical_form(poly)
-    return params, form, report.width, len(lattice_points(poly)), doubled_area(poly)
-
-
 def enumerate_minimal_with_stats(
-    d: int, jobs: int = 1
+    d: int,
 ) -> tuple[tuple[MinimalClass, ...], EnumerationStats]:
     """Family-driven enumeration of all minimal classes of width d.
 
-    Every in-range parameter tuple is generated, filtered for minimality and
-    for width exactly d, and deduplicated by canonical key; the first tuple
-    hitting a class (smallest (tag, values)) is the stored representative.
+    Every in-range parameter tuple is generated and keyed by its canonical
+    form.  A key already stored is a duplicate and skips the minimality
+    test: minimality and width are class invariants, and a key is stored
+    only after passing both.  A new key is filtered for minimality and for
+    width exactly d; the first tuple hitting a class (smallest (tag, values))
+    is the stored representative.
     """
     if d < 0:
         raise OutOfRange("width must be nonnegative")
     stats = EnumerationStats.empty()
     classes: dict[str, MinimalClass] = {}
-    all_params = list(iter_type_params(d))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_assess_params, all_params, chunksize=64))
-    else:
-        results = map(_assess_params, all_params)
-    for params, form, width, point_count, area2 in results:
+    for params in iter_type_params(d):
         stats.generated[params.tag] += 1
-        if form is None:
-            stats.non_minimal[params.tag] += 1
-            continue
-        if width != d:
-            stats.wrong_width[params.tag] += 1
-            continue
+        poly = generate(params)
+        form = canonical_form(poly)
         key = form.byte_key
         if key in classes:
             stats.duplicates[params.tag] += 1
             continue
-        classes[key] = MinimalClass(form, params, point_count, area2)
+        report = is_minimal(poly)
+        if not report.is_minimal:
+            stats.non_minimal[params.tag] += 1
+            continue
+        if report.width != d:
+            stats.wrong_width[params.tag] += 1
+            continue
+        classes[key] = MinimalClass(
+            form, params, lattice_point_count(poly), doubled_area(poly)
+        )
     ordered = sorted(classes.values(), key=lambda c: (c.point_count, c.key))
     return tuple(ordered), stats
 
@@ -309,11 +302,9 @@ def _enumerate_cached(d: int) -> tuple[MinimalClass, ...]:
     return enumerate_minimal_with_stats(d)[0]
 
 
-def enumerate_minimal(d: int, jobs: int = 1) -> list[MinimalClass]:
+def enumerate_minimal(d: int) -> list[MinimalClass]:
     """Minimal classes of width d from the family generators, sorted by
     (point count, canonical key)."""
-    if jobs > 1:
-        return list(enumerate_minimal_with_stats(d, jobs)[0])
     return list(_enumerate_cached(d))
 
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .bounds import point_bound, verify_point_bound, verify_volume_bound
-from .canonical import canonical_form
+from .bounds import verify_point_bound, verify_volume_bound
+from .canonical import are_equivalent
 from .classify import (
     BRUTE_FORCE_LIMIT,
     brute_force_minimal,
@@ -24,7 +23,6 @@ from .classify import (
     is_inscribed_in_hexagon,
 )
 from .core import OutOfRange, Polygon, UnimodularMap, apply_map, convex_hull, polygon_from_json
-from .canonical import are_equivalent
 from .minimal import is_minimal
 from .svg import render_figure
 from .width import embed_in_square, lattice_size_square, lattice_width
@@ -160,7 +158,7 @@ def cmd_enumerate(args) -> int:
     d = _check_d(args.d)
     if args.oracle and d > BRUTE_FORCE_LIMIT:
         raise CliError(f"--oracle requires d <= {BRUTE_FORCE_LIMIT}")
-    classes, stats = enumerate_minimal_with_stats(d, jobs=args.jobs)
+    classes, stats = enumerate_minimal_with_stats(d)
     class_array = [_class_json(c) for c in classes]
     if not args.oracle:
         _emit(json.dumps(class_array, indent=2), args.output)
@@ -283,13 +281,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("LATWIDTH_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latwidth",
@@ -313,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("d", type=int, help="lattice width")
     sp.add_argument("--oracle", action="store_true",
                     help=f"cross-check against brute force (d <= {BRUTE_FORCE_LIMIT})")
-    sp.add_argument("--jobs", type=int, default=_default_jobs(),
-                    help="parallel workers (default from LATWIDTH_JOBS)")
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(func=cmd_enumerate)
 

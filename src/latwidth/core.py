@@ -179,6 +179,14 @@ def boundary_point_count(p: Polygon) -> int:
     return total
 
 
+def lattice_point_count(p: Polygon) -> int:
+    """Number of lattice points inside or on p, by Pick's theorem
+    2A = 2I + B - 2 for polygons; points and segments have no interior."""
+    if p.dimension < 2:
+        return boundary_point_count(p)
+    return (doubled_area(p) + boundary_point_count(p)) // 2 + 1
+
+
 @dataclass(frozen=True)
 class UnimodularMap:
     """Affine lattice automorphism x -> Ax + b with det A = +-1."""

@@ -1,3 +1,5 @@
+import pytest
+
 from latwidth import (
     UnimodularMap,
     apply_map,
@@ -10,7 +12,7 @@ from latwidth import (
     translation,
     upsilon,
 )
-from latwidth.canonical import _candidate_forms
+from latwidth.canonical import _candidate_forms, _matrix_sending_to_x_axis
 from conftest import random_polygon, random_unimodular
 
 UPS1 = convex_hull([(0, 0), (1, 2), (2, 1)])
@@ -95,3 +97,9 @@ def test_mirror_images_share_a_form(rng):
     for _ in range(100):
         p = random_polygon(rng, span=6, points=5)
         assert canonical_form(p).byte_key == canonical_form(apply_map(mirror, p)).byte_key
+
+
+def test_non_primitive_edge_is_rejected():
+    # the invariant must hold under python -O too, so it raises, not asserts
+    with pytest.raises(ValueError):
+        _matrix_sending_to_x_axis((2, 0))

@@ -103,9 +103,9 @@ def test_golden_class_counts(d):
 
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_oracle_equivalence_fast(d):
-    enum_keys = {c.key for c in enumerate_minimal(d)}
-    oracle_keys = {c.key for c in brute_force_minimal(d)}
-    assert enum_keys == oracle_keys
+    enum_counts = {c.key: c.point_count for c in enumerate_minimal(d)}
+    oracle_counts = {c.key: c.point_count for c in brute_force_minimal(d)}
+    assert enum_counts == oracle_counts
 
 
 def test_brute_force_guard():
@@ -145,6 +145,27 @@ def test_generated_minimal_polygons_have_the_right_width():
         assert sum(stats.wrong_width.values()) == 0, dict(stats.wrong_width)
 
 
+# per-tag (generated, duplicates); every tuple for d <= 6 gives a minimal
+# polygon of width d, so non_minimal and wrong_width stay empty
+ENUMERATION_STATS = {
+    0: {"T1": (1, 0)},
+    1: {"T1": (3, 2)},
+    2: {"T1": (6, 3), "T2": (1, 0)},
+    3: {"T1": (10, 6), "T2": (14, 11)},
+    4: {"T1": (15, 8), "T2": (67, 55), "T3": (1, 0), "T4": (1, 0), "T5": (1, 0)},
+    5: {"T1": (21, 12), "T2": (204, 176), "T3": (6, 2), "T4": (8, 4), "T5": (16, 14)},
+    6: {"T1": (28, 15), "T2": (485, 419), "T3": (20, 8), "T4": (34, 15), "T5": (118, 102)},
+}
+
+
+@pytest.mark.parametrize("d", sorted(ENUMERATION_STATS))
+def test_enumeration_stats_per_tag(d):
+    _, stats = enumerate_minimal_with_stats(d)
+    counts = {tag: (n, stats.duplicates.get(tag, 0)) for tag, n in stats.generated.items()}
+    assert counts == ENUMERATION_STATS[d]
+    assert not any(stats.non_minimal.values()) and not any(stats.wrong_width.values())
+
+
 def test_vertex_count_ceilings_per_tag():
     limits = {"T1": 3, "T2": 4, "T3": 5, "T4": 5, "T5": 6}
     for d in range(0, 7):
@@ -179,12 +200,9 @@ def test_classify_t5_round_trip():
     assert cls.params.tag == "T5"
 
 
-def test_enumeration_is_sorted_and_parallel_safe():
-    seq = enumerate_minimal(3)
-    keys = [(c.point_count, c.key) for c in seq]
+def test_enumeration_is_sorted():
+    keys = [(c.point_count, c.key) for c in enumerate_minimal(3)]
     assert keys == sorted(keys)
-    par, _ = enumerate_minimal_with_stats(3, jobs=2)
-    assert [c.key for c in par] == [c.key for c in seq]
 
 
 def test_equivalent_parameter_tuples_collapse():

@@ -16,6 +16,7 @@ from latwidth import (
     convex_hull,
     doubled_area,
     invert_map,
+    lattice_point_count,
     lattice_points,
     make_primitive,
     polygon_from_json,
@@ -95,6 +96,10 @@ def test_pick_consistency(rng):
         p = random_polygon(rng, span=7, points=5)
         total = len(lattice_points(p))
         assert 2 * total == doubled_area(p) + boundary_point_count(p) + 2
+        assert lattice_point_count(p) == total
+    for pts in ([(3, -4)], [(0, 0), (6, 4)], [(-2, 5), (-2, -1)], [(0, 0), (1, 7)]):
+        p = convex_hull(pts)
+        assert lattice_point_count(p) == len(lattice_points(p))
 
 
 def test_apply_map_examples():
