@@ -32,7 +32,7 @@ from .core import (
     sub,
 )
 from .minimal import is_minimal
-from .width import _corner_difference_vectors
+from .width import iter_narrow_directions
 
 TAGS = ("T1", "T2", "T3", "T4", "T5")
 
@@ -167,11 +167,15 @@ def hexagon(d: int, l: int) -> Polygon:
 
 def is_inscribed_in_hexagon(p: Polygon, d: int, l: int) -> bool:
     """Whether p sits inside the hexagon with every hexagon side touched by a
-    lattice point of p."""
+    lattice point of p.
+
+    Only p's vertices need testing: when p lies inside the hexagon, p meets
+    the line of a side in a face of p inside that side, and the face's
+    endpoints are vertices of p."""
     h = hexagon(d, l)
     if not contains_polygon(h, p):
         return False
-    pts = lattice_points(p)
+    pts = p.vertices
     for a, b in h.edges():
         e = sub(b, a)
         if not any(
@@ -411,28 +415,7 @@ def _width_is_exactly(p: Polygon, d: int) -> bool:
         products = [x * vx + y * vy for x, y in vs]
         if max(products) - min(products) < d:
             return False
-    (u1x, u1y), (u2x, u2y) = _corner_difference_vectors(p)
-    det = u1x * u2y - u1y * u2x
-    top = d - 1
-    for c1 in range(0, top + 1):
-        for c2 in range(1 if c1 == 0 else -top, top + 1):
-            nx = c1 * u2y - c2 * u1y
-            if nx % det:
-                continue
-            ny = c2 * u1x - c1 * u2x
-            if ny % det:
-                continue
-            vx, vy = nx // det, ny // det
-            lo = hi = vs[0][0] * vx + vs[0][1] * vy
-            for px, py in vs:
-                t = px * vx + py * vy
-                if t < lo:
-                    lo = t
-                elif t > hi:
-                    hi = t
-            if hi - lo < d:
-                return False
-    return True
+    return next(iter_narrow_directions(p, d - 1), None) is None
 
 
 def iter_full_width_polygons(d: int) -> Iterator[Polygon]:

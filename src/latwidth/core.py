@@ -152,16 +152,36 @@ def contains_polygon(outer: Polygon, inner: Polygon) -> bool:
 
 
 def lattice_points(p: Polygon) -> frozenset[Vec]:
-    """All lattice points inside or on p (bounding-box scan, half-plane tests)."""
+    """All lattice points inside or on p, column by column.
+
+    On the counterclockwise cycle, edges running right (dx > 0) form the
+    lower chain and edges running left (dx < 0) the upper chain.  Walking
+    each edge over its x-span gives, per column x, the exact integer
+    interval ceil(lower boundary) .. floor(upper boundary) in integer
+    arithmetic, so the work is O(x-extent + vertex count + #points)."""
     vs = p.vertices
-    xs = [v[0] for v in vs]
-    ys = [v[1] for v in vs]
-    found = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if contains_point(p, (x, y)):
-                found.append((x, y))
-    return frozenset(found)
+    if len(vs) == 1:
+        return frozenset(vs)
+    if len(vs) == 2:
+        (ax, ay), (bx, by) = vs
+        g = gcd(abs(bx - ax), abs(by - ay))
+        sx, sy = (bx - ax) // g, (by - ay) // g
+        return frozenset((ax + k * sx, ay + k * sy) for k in range(g + 1))
+    x0 = vs[0][0]  # the cycle starts at the lexicographically smallest vertex
+    extent = max(v[0] for v in vs) - x0 + 1
+    low = [0] * extent
+    high = [0] * extent
+    for (ax, ay), (bx, by) in p.edges():
+        dx, dy = bx - ax, by - ay
+        if dx > 0:  # lower chain: y >= ay + dy (x - ax) / dx
+            for x in range(ax, bx + 1):
+                low[x - x0] = ay - (-dy * (x - ax) // dx)
+        elif dx < 0:  # upper chain: y <= ay + dy (x - ax) / dx
+            for x in range(bx, ax + 1):
+                high[x - x0] = ay + dy * (x - ax) // dx
+    return frozenset(
+        (x0 + i, y) for i in range(extent) for y in range(low[i], high[i] + 1)
+    )
 
 
 def boundary_point_count(p: Polygon) -> int:

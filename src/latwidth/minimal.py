@@ -17,12 +17,10 @@ from .core import (
     Vec,
     convex_hull,
     lattice_points,
-    sub,
 )
 from .width import (
-    _corner_difference_vectors,
     _segment_normal,
-    iter_region_directions,
+    iter_narrow_directions,
     lattice_width,
     width_in_direction,
 )
@@ -38,11 +36,23 @@ class MinimalityReport:
 
 
 def drop_vertex(p: Polygon, vertex: Vec) -> Polygon:
-    """Hull of all lattice points of p except the given vertex."""
-    if vertex not in p.vertices:
+    """Hull of all lattice points of p except the given vertex.
+
+    Corner-triangle lemma: with prev and next the neighbours of the vertex
+    in the cycle, p = conv(V - {vertex}) u T for the triangle
+    T = conv(prev, vertex, next), since cutting p along the diagonal
+    prev--next leaves exactly T on the vertex's side.  Every lattice point
+    of p other than the vertex therefore lies in conv(V - {vertex}) or in
+    T, and the result is the hull of the remaining vertices plus the
+    lattice points of T other than the vertex.  Only T is enumerated, never
+    the whole of p.
+    """
+    vs = p.vertices
+    if vertex not in vs:
         raise NotAVertex(f"{vertex} is not a vertex of the polygon")
-    remaining = lattice_points(p) - {vertex}
-    return convex_hull(remaining)
+    i = vs.index(vertex)
+    corner = convex_hull((vs[i - 1], vertex, vs[(i + 1) % len(vs)]))
+    return convex_hull((lattice_points(corner) | set(vs)) - {vertex})
 
 
 def is_minimal(p: Polygon) -> MinimalityReport:
@@ -50,18 +60,28 @@ def is_minimal(p: Polygon) -> MinimalityReport:
 
     Points are minimal (width 0); segments never are (deleting an endpoint
     keeps width 0).  When several vertices offend, the lexicographically
-    smallest is reported.
+    smallest is reported: vertices are tried in sorted order and the test
+    stops at the first offender.
+
+    A remainder R = drop_vertex(p, v) lies inside p, so its width is at
+    most d = width(p), and v offends exactly when no direction has
+    width_R <= d - 1.  A point or segment remainder has width 0 < d.  For a
+    2-dimensional R, every direction of width_R <= d - 1 pairs to at most
+    d - 1 in absolute value with R's corner edge vectors, so the bounded
+    scan ``iter_narrow_directions(R, d - 1)`` finds one if it exists, in
+    O(d^2) candidates instead of a full lattice-width computation.
     """
     if p.dimension == 0:
         return MinimalityReport(True, None, 0)
     if p.dimension == 1:
         return MinimalityReport(False, p.vertices[0], 0)
     d = lattice_width(p).width
-    offenders = [
-        v for v in p.vertices if lattice_width(drop_vertex(p, v)).width >= d
-    ]
-    if offenders:
-        return MinimalityReport(False, min(offenders), d)
+    for v in sorted(p.vertices):
+        remainder = drop_vertex(p, v)
+        if remainder.dimension < 2:
+            continue
+        if next(iter_narrow_directions(remainder, d - 1), None) is None:
+            return MinimalityReport(False, v, d)
     return MinimalityReport(True, None, d)
 
 
@@ -94,10 +114,8 @@ def upsilon_lemma_witness(p: Polygon) -> Optional[tuple[Vec, Vec]]:
         if remainder.dimension == 1:
             candidates = iter((_segment_normal(remainder),))
         else:
-            u1, u2 = _corner_difference_vectors(remainder)
-            candidates = iter_region_directions(u1, u2, d - 1)
+            candidates = iter_narrow_directions(remainder, d - 1)
         for v in candidates:
-            narrowed = width_in_direction(remainder, v)
-            if narrowed < d and narrowed < width_in_direction(p, v) - 1:
+            if width_in_direction(remainder, v) < width_in_direction(p, v) - 1:
                 return vertex, v
     return None

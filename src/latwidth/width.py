@@ -50,7 +50,8 @@ def width_in_direction(p: Polygon, v: Vec) -> int:
     directions are the canonical inputs, but any integer vector works)."""
     if v == (0, 0):
         raise ZeroVector("width direction must be nonzero")
-    products = [dot(vertex, v) for vertex in p.vertices]
+    vx, vy = v
+    products = [x * vx + y * vy for x, y in p.vertices]
     return max(products) - min(products)
 
 
@@ -114,6 +115,21 @@ def _corner_difference_vectors(p: Polygon) -> tuple[Vec, Vec]:
     # vertex; independent for any 2-dimensional polygon
     vs = p.vertices
     return sub(vs[1], vs[0]), sub(vs[-1], vs[0])
+
+
+def iter_narrow_directions(p: Polygon, bound: int) -> Iterator[Vec]:
+    """Primitive sign-normalized directions v with ``width_p(v) <= bound``
+    for a 2-dimensional p, in the fixed region order.
+
+    Every difference u of two points of p has ``|<v,u>| <= width_p(v)``, in
+    particular the two corner edge vectors u1, u2.  So every such v lies in
+    the region scanned by ``iter_region_directions(u1, u2, bound)``, and the
+    scan costs O(bound^2) candidates whatever the size of p's coordinates.
+    """
+    u1, u2 = _corner_difference_vectors(p)
+    for v in iter_region_directions(u1, u2, bound):
+        if width_in_direction(p, v) <= bound:
+            yield v
 
 
 def _segment_normal(p: Polygon) -> Vec:
@@ -186,12 +202,9 @@ def lattice_size_square(p: Polygon) -> SizeResult:
         return SizeResult(length, _witness_from_rows(p, (-e[1], e[0]), (s, t)))
 
     wx, wy = _axis_widths(p)
-    u1, u2 = _corner_difference_vectors(p)
     start = lattice_width(p).width
     for s in range(start, max(wx, wy) + 1):
-        candidates = [
-            v for v in iter_region_directions(u1, u2, s) if width_in_direction(p, v) <= s
-        ]
+        candidates = list(iter_narrow_directions(p, s))
         candidates.sort(key=lambda v: (abs(v[0]), abs(v[1]), v))
         for v in candidates:
             for w in candidates:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from latwidth import Polygon, UnimodularMap, compose_maps, convex_hull
+from latwidth import Polygon, UnimodularMap, apply_map, compose_maps, convex_hull
 
 
 def random_polygon(rng: random.Random, span: int = 8, points: int = 6) -> Polygon:
@@ -64,6 +64,47 @@ def naive_lattice_width(p: Polygon, factor: int = 4):
     best = int(widths.min())
     idx = np.nonzero(widths == best)[0]
     return best, {(int(vx[i]), int(vy[i])) for i in idx}
+
+
+def naive_lattice_points(p: Polygon) -> frozenset:
+    """Vectorized bounding-box scan with a half-plane test per edge at every
+    box point; the exhaustive reference for lattice_points."""
+    verts = np.array(p.vertices, dtype=np.int64)
+    (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
+    qx, qy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1), indexing="ij")
+    qx, qy = qx.ravel(), qy.ravel()
+    keep = np.ones(qx.shape, dtype=bool)
+    if len(verts) == 2:
+        (ax, ay), (bx, by) = verts
+        keep &= (bx - ax) * (qy - ay) - (by - ay) * (qx - ax) == 0
+    elif len(verts) > 2:
+        for (ax, ay), (bx, by) in zip(verts, np.roll(verts, -1, axis=0)):
+            keep &= (bx - ax) * (qy - ay) - (by - ay) * (qx - ax) >= 0
+    return frozenset(zip(qx[keep].tolist(), qy[keep].tolist()))
+
+
+def random_hull(rng: random.Random, span: int = 8) -> Polygon:
+    """Hull of one to seven random lattice points: a point, a segment or a
+    polygon."""
+    count = rng.randint(1, 7)
+    return convex_hull(
+        (rng.randint(-span, span), rng.randint(-span, span)) for _ in range(count)
+    )
+
+
+def random_large_image(rng: random.Random, p: Polygon, side: int = 120) -> Polygon:
+    """Image of p under a random unimodular map with a translation in the
+    hundreds, keeping both bounding-box sides at most the given side."""
+    while True:
+        m = random_unimodular(rng, magnitude=40)
+        m = UnimodularMap(
+            m.a11, m.a12, m.a21, m.a22, rng.randint(-900, 900), rng.randint(-900, 900)
+        )
+        q = apply_map(m, p)
+        xs = [v[0] for v in q.vertices]
+        ys = [v[1] for v in q.vertices]
+        if max(xs) - min(xs) <= side and max(ys) - min(ys) <= side:
+            return q
 
 
 @pytest.fixture

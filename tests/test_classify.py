@@ -24,7 +24,7 @@ from latwidth import (
     lattice_width,
     upsilon,
 )
-from conftest import random_unimodular
+from conftest import naive_lattice_points, random_unimodular
 
 # class counts fixed by the brute-force oracle ahead of the enumerator build
 GOLDEN_CLASS_COUNTS = {0: 1, 1: 1, 2: 4, 3: 7, 4: 22}
@@ -68,6 +68,26 @@ def test_inscription_examples():
     assert is_inscribed_in_hexagon(generate(t1(2, 2, 0)), 2, 2)  # degenerate corner
     square = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert not is_inscribed_in_hexagon(square, 2, 1)
+
+
+def test_inscription_matches_the_lattice_point_definition(rng):
+    # the definition: p inside the hexagon, and every side holds a lattice
+    # point of p; random hulls of hexagon points, inscribed or not
+    checked = {True: 0, False: 0}
+    for _ in range(600):
+        d = rng.randint(0, 6)
+        l = rng.randint(0, d)
+        h = hexagon(d, l)
+        pool = sorted(naive_lattice_points(h))
+        p = convex_hull(rng.sample(pool, rng.randint(1, min(len(pool), 6))))
+        points = naive_lattice_points(p)
+        expected = all(
+            any(q in naive_lattice_points(convex_hull([a, b])) for q in points)
+            for a, b in h.edges()
+        )
+        assert is_inscribed_in_hexagon(p, d, l) == expected, (p.vertices, d, l)
+        checked[expected] += 1
+    assert min(checked.values()) > 50
 
 
 def test_four_direction_quadrangle():
@@ -137,12 +157,6 @@ def test_box_enumeration_matches_subset_hulls():
             produced.add(p.vertices)
             assert convex_hull(p.vertices).vertices == p.vertices
         assert produced == expected
-
-
-def test_generated_minimal_polygons_have_the_right_width():
-    for d in range(0, 6):
-        _, stats = enumerate_minimal_with_stats(d)
-        assert sum(stats.wrong_width.values()) == 0, dict(stats.wrong_width)
 
 
 # per-tag (generated, duplicates); every tuple for d <= 6 gives a minimal

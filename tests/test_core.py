@@ -22,7 +22,13 @@ from latwidth import (
     polygon_from_json,
     polygon_to_json,
 )
-from conftest import random_polygon, random_unimodular
+from conftest import (
+    naive_lattice_points,
+    random_hull,
+    random_large_image,
+    random_polygon,
+    random_unimodular,
+)
 
 coord = st.integers(min_value=-50, max_value=50)
 
@@ -81,6 +87,16 @@ def test_lattice_points_examples():
     assert lattice_points(convex_hull([(3, 5)])) == {(3, 5)}
     skew = convex_hull([(0, 0), (1, 2), (2, 1)])
     assert lattice_points(skew) == {(0, 0), (1, 1), (1, 2), (2, 1)}
+
+
+def test_lattice_points_match_the_box_scan(rng):
+    shapes = [random_hull(rng) for _ in range(400)]
+    shapes += [random_polygon(rng, span=20, points=rng.randint(3, 8)) for _ in range(100)]
+    shapes += [random_large_image(rng, random_hull(rng, span=5)) for _ in range(60)]
+    shapes += [convex_hull([(-3, 7)]), convex_hull([(0, 0), (0, 9)]), convex_hull([(2, 5), (11, 5)])]
+    assert {p.dimension for p in shapes} == {0, 1, 2}
+    for p in shapes:
+        assert lattice_points(p) == naive_lattice_points(p), p.vertices
 
 
 def test_doubled_area_examples():

@@ -1,6 +1,8 @@
 import pytest
 
 from latwidth import (
+    EmptyInput,
+    MinimalityReport,
     OutOfRange,
     NotAVertex,
     apply_map,
@@ -13,7 +15,13 @@ from latwidth import (
     upsilon_lemma_witness,
     width_in_direction,
 )
-from conftest import random_polygon, random_unimodular
+from conftest import (
+    naive_lattice_points,
+    random_hull,
+    random_large_image,
+    random_polygon,
+    random_unimodular,
+)
 
 SIMPLEX = convex_hull([(0, 0), (1, 0), (0, 1)])
 SQUARE = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -91,6 +99,42 @@ def test_minimality_is_equivalence_invariant(rng):
         p = random_polygon(rng, span=5, points=5)
         m = random_unimodular(rng)
         assert is_minimal(apply_map(m, p)).is_minimal == is_minimal(p).is_minimal
+
+
+def _deletion_corpus(rng):
+    shapes = [random_hull(rng, span=6) for _ in range(300)]
+    shapes += [random_polygon(rng, span=4, points=rng.randint(3, 6)) for _ in range(300)]
+    shapes += [random_large_image(rng, random_hull(rng, span=3), side=60) for _ in range(30)]
+    return shapes
+
+
+def test_drop_vertex_matches_the_box_scan(rng):
+    for p in _deletion_corpus(rng):
+        points = naive_lattice_points(p)
+        for v in p.vertices:
+            if p.dimension == 0:
+                with pytest.raises(EmptyInput):
+                    drop_vertex(p, v)
+            else:
+                assert drop_vertex(p, v) == convex_hull(points - {v}), (p.vertices, v)
+
+
+def test_minimality_report_matches_the_all_vertices_definition(rng):
+    # the definition: delete each vertex from the full lattice point set,
+    # take the full lattice width of every remainder, report the smallest
+    # offender
+    for p in _deletion_corpus(rng):
+        if p.dimension == 0:
+            expected = MinimalityReport(True, None, 0)
+        else:
+            d = lattice_width(p).width
+            points = naive_lattice_points(p)
+            offenders = [
+                v for v in p.vertices
+                if lattice_width(convex_hull(points - {v})).width >= d
+            ]
+            expected = MinimalityReport(not offenders, min(offenders, default=None), d)
+        assert is_minimal(p) == expected, p.vertices
 
 
 def test_upsilon_examples():
