@@ -108,14 +108,9 @@ def _canonical_with_map(p: Polygon) -> tuple[CanonicalForm, UnimodularMap]:
         ix, iy = m.apply(a)
         full = UnimodularMap(m.a11, m.a12, m.a21, m.a22, -ix, -iy)
         return CanonicalForm(((0, 0), (length, 0))), full
-
-    def flat(seq):
-        return tuple(c for v in seq for c in v)
-
-    best_seq, best_map = None, None
-    for seq, m in _candidate_forms(p):
-        if best_seq is None or flat(seq) < flat(best_seq):
-            best_seq, best_map = seq, m
+    # every candidate has n vertices, so comparing vertex by vertex orders
+    # them as their flattened coordinates would; ties keep the first
+    best_seq, best_map = min(_candidate_forms(p), key=lambda c: c[0])
     return CanonicalForm(best_seq), best_map
 
 

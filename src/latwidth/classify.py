@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
+from itertools import product
 from math import gcd
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .canonical import CanonicalForm, _canonical_with_map, canonical_form
 from .core import (
@@ -32,18 +33,27 @@ from .core import (
     sub,
 )
 from .minimal import is_minimal
-from .width import iter_narrow_directions
+from .width import iter_narrow_directions, sort_directions
 
-TAGS = ("T1", "T2", "T3", "T4", "T5")
+# field names of each family, sorted; T3..T5 lead with the shoulder l
+_FIELD_NAMES = {
+    "T1": ("x", "y"),
+    "T2": ("x1", "x2", "y1", "y2"),
+    "T3": ("l", "x", "y", "z"),
+    "T4": ("l", "x", "y", "z", "zp"),
+    "T5": ("l", "x1", "x2", "y1", "y2", "z1", "z2"),
+}
+TAGS = tuple(_FIELD_NAMES)
 
 
 @dataclass(frozen=True)
 class TypeParams:
     """One parameter tuple of a classification family.
 
-    ``values`` holds (name, value) pairs sorted by name; the names per tag are
-    T1: x,y  T2: x1,x2,y1,y2  T3: l,x,y,z  T4: l,x,y,z,zp
-    T5: l,x1,x2,y1,y2,z1,z2.
+    ``values`` holds (name, value) pairs sorted by name.  The names per tag
+    are in ``_FIELD_NAMES`` and their ranges in ``_field_ranges`` (plus the
+    side conditions of ``_side_conditions_hold``); for T3..T5 the shoulder
+    l runs over 2..d-2.
     """
 
     tag: str
@@ -76,25 +86,23 @@ class MinimalClass:
 
 
 def _family_points(params: TypeParams) -> list[Vec]:
-    d = params.d
-    p = params.as_dict()
-    tag = params.tag
+    # positional unpacking follows the name order of _FIELD_NAMES
+    d, tag = params.d, params.tag
+    v = [value for _, value in params.values]
     if tag == "T1":
-        x, y = p["x"], p["y"]
+        x, y = v
         return [(0, 0), (d, y), (x, d)]
     if tag == "T2":
-        x1, x2, y1, y2 = p["x1"], p["x2"], p["y1"], p["y2"]
+        x1, x2, y1, y2 = v
         return [(x1, 0), (d, y2), (x2, d), (0, y1)]
     if tag == "T3":
-        l, x, y, z = p["l"], p["x"], p["y"], p["z"]
+        l, x, y, z = v
         return [(0, 0), (l, 0), (d, y + d - l), (x + l, d), (z, z + d - l)]
     if tag == "T4":
-        l, x, y, z, zp = p["l"], p["x"], p["y"], p["z"], p["zp"]
+        l, x, y, z, zp = v
         return [(0, 0), (zp + l, zp), (d, y + d - l), (x + l, d), (z, z + d - l)]
     if tag == "T5":
-        l = p["l"]
-        x1, x2, y1, y2 = p["x1"], p["x2"], p["y1"], p["y2"]
-        z1, z2 = p["z1"], p["z2"]
+        l, x1, x2, y1, y2, z1, z2 = v
         return [
             (x1, 0),
             (z2 + l, z2),
@@ -106,49 +114,58 @@ def _family_points(params: TypeParams) -> list[Vec]:
     raise ParamOutOfRange(f"unknown tag {tag!r}")
 
 
+def _field_ranges(tag: str, d: int, l: int) -> tuple[range, ...]:
+    """The range of every field of ``tag`` other than the shoulder l, in name
+    order.  For T3..T5 the shoulder splits a side of the d-square into a short
+    part (1..l-1) and a long part (1..d-l-1); T1 and T2 ignore l."""
+    short, long = range(1, l), range(1, d - l)
+    return {
+        "T1": (range(d + 1),) * 2,
+        "T2": (range(1, d),) * 4,
+        "T3": (long, short, short),
+        "T4": (long, short, short, long),
+        "T5": (short, long, long, short, short, long),
+    }[tag]
+
+
+def _side_conditions_hold(tag: str, d: int, values: tuple[int, ...]) -> bool:
+    """The conditions beyond the field ranges, on the fields other than l."""
+    if tag == "T1":
+        x, y = values
+        return x + y <= d
+    if tag == "T2":
+        x1, x2, y1, y2 = values
+        return max(x2, y2) >= min(x1, y1) and max(d - x2, y1) >= min(d - x1, y2)
+    return True
+
+
+def _shoulders(tag: str, d: int) -> Sequence[int]:
+    # a single placeholder l = 0 for the families without a shoulder
+    return range(2, d - 1) if _FIELD_NAMES[tag][0] == "l" else (0,)
+
+
 def _check_ranges(params: TypeParams) -> None:
-    d = params.d
-    p = params.as_dict()
-    tag = params.tag
-
-    def within(name, lo, hi):
-        if not lo <= p[name] <= hi:
-            raise ParamOutOfRange(f"{tag}: {name}={p[name]} outside [{lo}, {hi}]")
-
+    tag, d = params.tag, params.d
+    if tag not in _FIELD_NAMES:
+        raise ParamOutOfRange(f"unknown tag {tag!r}")
     if d < 0:
         raise ParamOutOfRange("width must be nonnegative")
-    if tag == "T1":
-        within("x", 0, d)
-        within("y", 0, d)
-        if p["x"] + p["y"] > d:
-            raise ParamOutOfRange("T1 requires x + y <= d")
-    elif tag == "T2":
-        for name in ("x1", "x2", "y1", "y2"):
-            within(name, 1, d - 1)
-        x1, x2, y1, y2 = p["x1"], p["x2"], p["y1"], p["y2"]
-        if max(x2, y2) < min(x1, y1) or max(d - x2, y1) < min(d - x1, y2):
-            raise ParamOutOfRange("T2 side conditions violated")
-    elif tag in ("T3", "T4", "T5"):
-        within("l", 2, d - 2)
-        l = p["l"]
-        short = (1, l - 1)
-        long = (1, d - l - 1)
-        ranges = {
-            "T3": {"x": long, "y": short, "z": short},
-            "T4": {"x": long, "y": short, "z": short, "zp": long},
-            "T5": {
-                "x1": short,
-                "x2": long,
-                "y1": long,
-                "y2": short,
-                "z1": short,
-                "z2": long,
-            },
-        }[tag]
-        for name, (lo, hi) in ranges.items():
-            within(name, lo, hi)
-    else:
-        raise ParamOutOfRange(f"unknown tag {tag!r}")
+    names = tuple(name for name, _ in params.values)
+    if names != _FIELD_NAMES[tag]:
+        raise ParamOutOfRange(f"{tag} needs the fields {_FIELD_NAMES[tag]}, got {names}")
+    values = tuple(value for _, value in params.values)
+    l = 0
+    if names[0] == "l":
+        l, names, values = values[0], names[1:], values[1:]
+        if l not in _shoulders(tag, d):
+            raise ParamOutOfRange(f"{tag}: l={l} outside [2, {d - 2}]")
+    for name, value, span in zip(names, values, _field_ranges(tag, d, l)):
+        if value not in span:
+            raise ParamOutOfRange(
+                f"{tag}: {name}={value} outside [{span.start}, {span.stop - 1}]"
+            )
+    if not _side_conditions_hold(tag, d, values):
+        raise ParamOutOfRange(f"{tag} side conditions violated")
 
 
 def generate(params: TypeParams) -> Polygon:
@@ -202,51 +219,14 @@ def four_direction_quadrangle(d: int) -> Polygon:
 
 def iter_type_params(d: int) -> Iterator[TypeParams]:
     """All in-range parameter tuples for width d, in deterministic order:
-    tags T1..T5, values in nested ascending loops over name-sorted fields."""
-    for x in range(d + 1):
-        for y in range(d + 1 - x):
-            yield TypeParams("T1", d, (("x", x), ("y", y)))
-    for x1 in range(1, d):
-        for x2 in range(1, d):
-            for y1 in range(1, d):
-                for y2 in range(1, d):
-                    if max(x2, y2) >= min(x1, y1) and max(d - x2, y1) >= min(d - x1, y2):
-                        yield TypeParams(
-                            "T2", d, (("x1", x1), ("x2", x2), ("y1", y1), ("y2", y2))
-                        )
-    for l in range(2, d - 1):
-        for x in range(1, d - l):
-            for y in range(1, l):
-                for z in range(1, l):
-                    yield TypeParams("T3", d, (("l", l), ("x", x), ("y", y), ("z", z)))
-    for l in range(2, d - 1):
-        for x in range(1, d - l):
-            for y in range(1, l):
-                for z in range(1, l):
-                    for zp in range(1, d - l):
-                        yield TypeParams(
-                            "T4", d, (("l", l), ("x", x), ("y", y), ("z", z), ("zp", zp))
-                        )
-    for l in range(2, d - 1):
-        for x1 in range(1, l):
-            for x2 in range(1, d - l):
-                for y1 in range(1, d - l):
-                    for y2 in range(1, l):
-                        for z1 in range(1, l):
-                            for z2 in range(1, d - l):
-                                yield TypeParams(
-                                    "T5",
-                                    d,
-                                    (
-                                        ("l", l),
-                                        ("x1", x1),
-                                        ("x2", x2),
-                                        ("y1", y1),
-                                        ("y2", y2),
-                                        ("z1", z1),
-                                        ("z2", z2),
-                                    ),
-                                )
+    tags T1..T5, then the shoulder l, then the other fields ascending in name
+    order."""
+    for tag, names in _FIELD_NAMES.items():
+        for l in _shoulders(tag, d):
+            head = (l,) if names[0] == "l" else ()
+            for values in product(*_field_ranges(tag, d, l)):
+                if _side_conditions_hold(tag, d, values):
+                    yield TypeParams(tag, d, tuple(zip(names, head + values)))
 
 
 @dataclass
@@ -302,14 +282,16 @@ def enumerate_minimal_with_stats(
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(d: int) -> tuple[MinimalClass, ...]:
-    return enumerate_minimal_with_stats(d)[0]
+def _class_table(d: int) -> dict[str, MinimalClass]:
+    """The minimal classes of width d by canonical key, in the enumerator's
+    order."""
+    return {c.key: c for c in enumerate_minimal_with_stats(d)[0]}
 
 
 def enumerate_minimal(d: int) -> list[MinimalClass]:
     """Minimal classes of width d from the family generators, sorted by
     (point count, canonical key)."""
-    return list(_enumerate_cached(d))
+    return list(_class_table(d).values())
 
 
 # --- exhaustive square search (the oracle) ------------------------------------
@@ -317,23 +299,12 @@ def enumerate_minimal(d: int) -> list[MinimalClass]:
 BRUTE_FORCE_LIMIT = 4
 
 
-def _angle_ascending(a: Vec, b: Vec) -> int:
-    c = cross(a, b)
-    return -1 if c > 0 else (1 if c < 0 else 0)
-
-
 @lru_cache(maxsize=None)
 def _first_quadrant_chain_table(d: int):
     """Convex edge chains from first-quadrant primitive directions, keyed by
     total displacement (<= d in each coordinate)."""
-    dirs = sorted(
-        (
-            (x, y)
-            for x in range(1, d + 1)
-            for y in range(0, d + 1)
-            if gcd(x, y) == 1
-        ),
-        key=cmp_to_key(_angle_ascending),
+    dirs = sort_directions(
+        (x, y) for x in range(1, d + 1) for y in range(0, d + 1) if gcd(x, y) == 1
     )
     table: dict[Vec, list[tuple[Vec, ...]]] = defaultdict(list)
 
@@ -407,17 +378,6 @@ def iter_convex_polygons(d: int) -> Iterator[Polygon]:
                                     yield Polygon(tuple(cycle[pivot:] + cycle[:pivot]))
 
 
-def _width_is_exactly(p: Polygon, d: int) -> bool:
-    """Fast check for polygons with both extents d: is the width d (i.e. no
-    direction narrower than d)?"""
-    vs = p.vertices
-    for vx, vy in ((1, 1), (1, -1)):  # cheap early rejections
-        products = [x * vx + y * vy for x, y in vs]
-        if max(products) - min(products) < d:
-            return False
-    return next(iter_narrow_directions(p, d - 1), None) is None
-
-
 def iter_full_width_polygons(d: int) -> Iterator[Polygon]:
     """All convex lattice polygons fitting in the d-square whose lattice width
     is exactly d, up to translation (the brute-force universe)."""
@@ -427,7 +387,8 @@ def iter_full_width_polygons(d: int) -> Iterator[Polygon]:
         yield Polygon(((0, 0),))
         return
     for p in iter_convex_polygons(d):
-        if _width_is_exactly(p, d):
+        # both extents are d, so the width is d unless a direction is narrower
+        if next(iter_narrow_directions(p, d - 1), None) is None:
             yield p
 
 
@@ -450,11 +411,6 @@ def brute_force_minimal(d: int) -> list[MinimalClass]:
 
 
 # --- recognition ---------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _class_table(d: int) -> dict[str, MinimalClass]:
-    return {c.key: c for c in _enumerate_cached(d)}
 
 
 def classify_polygon(p: Polygon) -> Optional[tuple[MinimalClass, UnimodularMap]]:

@@ -234,7 +234,7 @@ def _verify_one(d: int, use_oracle: bool, lines: list[str], reports: list[dict])
                     good = good and are_equivalent(p, quad) is not None
             record("four-direction-rigidity", good, "")
 
-        hex_classes = [c for c in classes if c.params.tag in ("T3", "T4", "T5")]
+        hex_classes = [c for c in classes if "l" in c.params.as_dict()]
         good = all(
             is_inscribed_in_hexagon(generate(c.params), d, c.params["l"])
             for c in hex_classes

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -24,6 +25,7 @@ from latwidth import (
     lattice_width,
     upsilon,
 )
+from latwidth.classify import TAGS
 from conftest import naive_lattice_points, random_unimodular
 
 # class counts fixed by the brute-force oracle ahead of the enumerator build
@@ -41,6 +43,25 @@ def test_generate_examples():
     assert set(generate(t1(4, 2, 2)).vertices) == {(0, 0), (4, 2), (2, 4)}
 
 
+# the paper's ranges at d = 6 with the shoulder l = 2, where the short side
+# is 1..l-1 = 1..1 and the long side 1..d-l-1 = 1..3: (base value, lo, hi)
+FIELD_BOUNDARIES_D6 = {
+    "T1": {"x": (0, 0, 6), "y": (0, 0, 6)},
+    "T2": {"x1": (3, 1, 5), "x2": (3, 1, 5), "y1": (3, 1, 5), "y2": (3, 1, 5)},
+    "T3": {"l": (2, 2, 4), "x": (1, 1, 3), "y": (1, 1, 1), "z": (1, 1, 1)},
+    "T4": {"l": (2, 2, 4), "x": (1, 1, 3), "y": (1, 1, 1), "z": (1, 1, 1), "zp": (1, 1, 3)},
+    "T5": {
+        "l": (2, 2, 4),
+        "x1": (1, 1, 1),
+        "x2": (1, 1, 3),
+        "y1": (1, 1, 3),
+        "y2": (1, 1, 1),
+        "z1": (1, 1, 1),
+        "z2": (1, 1, 3),
+    },
+}
+
+
 def test_generate_range_checks():
     with pytest.raises(ParamOutOfRange):
         generate(t1(3, 2, 2))  # x + y > d
@@ -48,6 +69,35 @@ def test_generate_range_checks():
         generate(TypeParams("T2", 4, (("x1", 0), ("x2", 1), ("y1", 1), ("y2", 1))))
     with pytest.raises(ParamOutOfRange):
         generate(TypeParams("T3", 3, (("l", 2), ("x", 1), ("y", 1), ("z", 1))))
+    # each field at either end of its range, and one step past it
+    for tag, fields in FIELD_BOUNDARIES_D6.items():
+        base = {name: value for name, (value, _, _) in fields.items()}
+        for name, (_, lo, hi) in fields.items():
+            for value, valid in ((lo - 1, False), (lo, True), (hi, True), (hi + 1, False)):
+                params = TypeParams(tag, 6, tuple(sorted({**base, name: value}.items())))
+                if valid:
+                    assert generate(params).dimension == 2, params
+                else:
+                    with pytest.raises(ParamOutOfRange):
+                        generate(params)
+
+
+@pytest.mark.parametrize(
+    "tag, values",
+    [
+        ("T1", (("x", 0),)),
+        ("T1", (("x", 0), ("y", 0), ("w", 9))),
+        ("T1", (("x", 0), ("x", 0), ("y", 0))),
+        ("T1", (("y", 0), ("x", 0))),
+        ("T3", (("x", 1), ("y", 1), ("z", 1))),
+        ("T4", (("l", 2), ("x", 1), ("y", 1), ("z", 1), ("zq", 1))),
+        ("T6", (("x", 0), ("y", 0))),
+    ],
+    ids=["missing", "extra", "duplicated", "unsorted", "no-shoulder", "misnamed", "unknown-tag"],
+)
+def test_generate_rejects_malformed_field_names(tag, values):
+    with pytest.raises(ParamOutOfRange):
+        generate(TypeParams(tag, 6, values))
 
 
 def test_hexagon_examples():
@@ -98,6 +148,11 @@ def test_four_direction_quadrangle():
     assert len(lattice_width(four_direction_quadrangle(6)).directions) == 4
 
 
+# sha256 of the tuple sequence for d = 0..10 (38,029 tuples); the order picks
+# each class's stored representative, so it fixes the `enumerate` output bytes
+TUPLE_ORDER_SHA256 = "f3a7897caf812ca0f8338e677d9e27b460dc0bc33befda5b7a9567f609ede700"
+
+
 def test_param_iteration_counts():
     # T1 tuples: x + y <= d over 0..d
     assert sum(1 for p in iter_type_params(3) if p.tag == "T1") == 10
@@ -105,6 +160,15 @@ def test_param_iteration_counts():
     # T3, T4, T5 need l in 2..d-2, so they first appear at d = 4
     assert all(p.tag in ("T1", "T2") for p in iter_type_params(3))
     assert any(p.tag == "T5" for p in iter_type_params(4))
+    # tuples come in (tag, values) order
+    lines = []
+    for d in range(11):
+        tuples = list(iter_type_params(d))
+        order = [(TAGS.index(p.tag), p.values) for p in tuples]
+        assert order == sorted(order), d
+        lines.extend(repr(p) for p in tuples)
+    assert len(lines) == 38029
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TUPLE_ORDER_SHA256
 
 
 def test_enumerate_minimal_small_widths():
