@@ -25,7 +25,7 @@ from .classify import (
 from .core import OutOfRange, Polygon, UnimodularMap, apply_map, convex_hull, polygon_from_json
 from .minimal import is_minimal
 from .svg import render_figure
-from .width import embed_in_square, lattice_size_square, lattice_width
+from .width import lattice_size_square, lattice_width
 
 COORD_LIMIT = 10**6
 WIDTH_LIMIT = 1000
@@ -212,15 +212,9 @@ def _verify_one(d: int, use_oracle: bool, lines: list[str], reports: list[dict])
         good = True
         for c in classes:
             p = convex_hull(c.canonical.vertices)
-            if lattice_size_square(p).size != d:
-                good = False
-                break
-            m = embed_in_square(p)
-            if m is None:
-                good = False
-                break
-            q = apply_map(m, p)
-            if not all(0 <= x <= d and 0 <= y <= d for x, y in q.vertices):
+            size = lattice_size_square(p)
+            q = apply_map(size.witness, p)
+            if size.size != d or not all(0 <= x <= d and 0 <= y <= d for x, y in q.vertices):
                 good = False
                 break
         record("lattice-size-equals-width", good, f"classes={len(classes)}")

@@ -51,8 +51,16 @@ def drop_vertex(p: Polygon, vertex: Vec) -> Polygon:
     if vertex not in vs:
         raise NotAVertex(f"{vertex} is not a vertex of the polygon")
     i = vs.index(vertex)
-    corner = convex_hull((vs[i - 1], vertex, vs[(i + 1) % len(vs)]))
-    return convex_hull((lattice_points(corner) | set(vs)) - {vertex})
+    corner = (vs[i - 1], vertex, vs[(i + 1) % len(vs)])
+    if len(vs) < 3:
+        # a point or a segment: the neighbours coincide
+        triangle = convex_hull(corner)
+    else:
+        # three consecutive vertices of the cycle: counterclockwise and not
+        # collinear, so only the rotation to the smallest vertex is missing
+        k = corner.index(min(corner))
+        triangle = Polygon(corner[k:] + corner[:k])
+    return convex_hull((lattice_points(triangle) | set(vs)) - {vertex})
 
 
 def is_minimal(p: Polygon) -> MinimalityReport:

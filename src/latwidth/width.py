@@ -1,12 +1,23 @@
 """Lattice width, width directions, and lattice size with respect to the
 unit square.
 
-The width of a polygon in a primitive direction v is the spread of the dot
-products <P, v> over the polygon.  The global width minimizes over all
-primitive directions; the scan is finite because any v with small width
-pairs to small values against two independent vertex differences u1, u2,
-which confines v to a parallelogram that we walk in (``<v,u1>``, ``<v,u2>``)
-coordinates.
+The width of a polygon p in a direction v is the spread N(v) of the dot
+products <P, v> over the polygon.  For a 2-dimensional p, N is a norm on the
+plane, and the two numbers this module computes are the successive minima
+of the lattice Z^2 under that norm: the lattice width is the first, lambda1,
+and the lattice size with respect to the unit square is the second, lambda2
+(p fits in [0, s]^2 after a unimodular map exactly when some lattice basis
+has both widths at most s).  Both are read off a basis reduced for N by
+generalized Gauss reduction (Kaib & Schnorr, J. Algorithms 1996; for the
+plane, Eisenbrand & Laue, Math. Program. 2005), which needs a number of
+rounds logarithmic in the coordinate size and O(log C) norm evaluations per
+round, whatever the shape of p.
+
+Bounded questions -- which directions have width at most b? -- are answered
+by ``iter_narrow_directions``: such a v pairs to at most b in absolute value
+with two independent edge vectors u1, u2 of p, which confines it to a
+parallelogram walked in (``<v,u1>``, ``<v,u2>``) coordinates at cost
+O(b^2), independent of the size of p's coordinates.
 """
 
 from __future__ import annotations
@@ -104,12 +115,6 @@ def iter_region_directions(u1: Vec, u2: Vec, bound: int) -> Iterator[Vec]:
             yield normalize_sign((vx, vy))
 
 
-def _axis_widths(p: Polygon) -> tuple[int, int]:
-    xs = [v[0] for v in p.vertices]
-    ys = [v[1] for v in p.vertices]
-    return max(xs) - min(xs), max(ys) - min(ys)
-
-
 def _corner_difference_vectors(p: Polygon) -> tuple[Vec, Vec]:
     # the two edge vectors at the starting (lexicographically smallest)
     # vertex; independent for any 2-dimensional polygon
@@ -137,30 +142,105 @@ def _segment_normal(p: Polygon) -> Vec:
     return normalize_sign((-e[1], e[0]))
 
 
+def _best_step(p: Polygon, b1: Vec, n1: int, b2: Vec, n2: int) -> int:
+    """An integer mu minimizing f(mu) = N(b2 - mu*b1), for
+    n1 = N(b1) <= n2 = N(b2).
+
+    f is convex, and f(mu) >= |mu|*n1 - n2 by the triangle inequality, so
+    every minimizer has |mu| <= 2*n2/n1.  When neither neighbour beats
+    f(0) = n2, 0 is a minimizer after two evaluations; otherwise a binary
+    search on the sign of f(mu + 1) - f(mu), nondecreasing in mu, finds the
+    smallest minimizer on the improving side of that bracket.
+    """
+
+    def f(mu: int) -> int:
+        return width_in_direction(p, (b2[0] - mu * b1[0], b2[1] - mu * b1[1]))
+
+    if f(1) < n2:
+        lo, hi = 1, 2 * n2 // n1
+    elif f(-1) < n2:
+        lo, hi = -(2 * n2 // n1), -1
+    else:
+        return 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid + 1) >= f(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _reduced_basis(p: Polygon) -> tuple[Vec, int, Vec, int]:
+    """A lattice basis (b1, b2) reduced for the width norm N of a
+    2-dimensional p, with n1 = N(b1) and n2 = N(b2).
+
+    Generalized Gauss reduction: start from (1,0), (0,1) ordered so that
+    N(b1) <= N(b2), replace b2 by b2 - mu*b1 for the mu minimizing N, and
+    swap while N(b2) < N(b1); each swap lowers N(b1), so the loop ends.  The
+    result has N(b1) <= N(b2) <= N(b2 + k*b1) for every integer k, so it
+    attains both successive minima: a lattice vector v = a*b1 + c*b2 with
+    c = 0 is a multiple of b1, and with c != 0 it has N(v) >= N(b2) (for
+    |c| >= 2 take k nearest a/c; then
+    N(v) >= |c|*N(b2 + k*b1) - |a - c*k|*N(b1) >= |c|*N(b2)/2).  Hence
+    lambda1 = n1 and lambda2 = n2.
+    """
+    b1, b2 = (1, 0), (0, 1)
+    n1, n2 = width_in_direction(p, b1), width_in_direction(p, b2)
+    if n2 < n1:
+        b1, n1, b2, n2 = b2, n2, b1, n1
+    while True:
+        mu = _best_step(p, b1, n1, b2, n2)
+        if mu:
+            b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+            n2 = width_in_direction(p, b2)
+        if n2 >= n1:
+            return b1, n1, b2, n2
+        b1, n1, b2, n2 = b2, n2, b1, n1
+
+
+# coefficient pairs (a, c), one of each sign pair, of the primitive
+# a*b1 + c*b2 with |a|, |c| <= 2: every width direction on a tie
+_TIE_COEFFICIENTS = tuple(
+    (a, c)
+    for c in range(3)
+    for a in range(-2, 3)
+    if gcd(a, c) == 1 and (c > 0 or a > 0)
+)
+
+
 def lattice_width(p: Polygon) -> WidthResult:
     """Global lattice width with the complete set of width directions.
 
     A point has width 0 and no directions; a segment has width 0 with the
     single primitive direction orthogonal to it.
+
+    For a 2-dimensional p, a reduced basis (b1, b2) of the width norm N
+    gives the width lambda1 = N(b1).  When N(b2) > N(b1), b1 is the only
+    width direction: a second one would be independent of b1 and make
+    lambda2 = lambda1.  On a tie, every width direction is a primitive
+    v = a*b1 + c*b2 with |a|, |c| <= 2.  The body lambda1*B, B the unit ball
+    of N, has no nonzero lattice point in its interior, so its area is at
+    most 4 (Minkowski).  If |c| >= 3 it would contain +-b1 and +-v, hence
+    their hull of area 2*|det(b1, v)| = 2*|c| >= 6; the same argument with
+    b2 bounds |a|.  |c| = 2 does occur.  A lattice polygon has at most four
+    width directions (Draisma, McAllister & Nill 2012), all among these
+    candidates.
     """
     if p.dimension == 0:
         return WidthResult(0, ())
     if p.dimension == 1:
         return WidthResult(0, (_segment_normal(p),))
 
-    wx, wy = _axis_widths(p)
-    upper = min(wx, wy)
-    u1, u2 = _corner_difference_vectors(p)
-    best = upper
-    argmin: list[Vec] = []
-    for v in iter_region_directions(u1, u2, upper):
-        w = width_in_direction(p, v)
-        if w < best:
-            best = w
-            argmin = [v]
-        elif w == best:
-            argmin.append(v)
-    return WidthResult(best, sort_directions(argmin))
+    b1, n1, b2, n2 = _reduced_basis(p)
+    if n2 > n1:
+        return WidthResult(n1, (normalize_sign(b1),))
+    directions = []
+    for a, c in _TIE_COEFFICIENTS:
+        v = (a * b1[0] + c * b2[0], a * b1[1] + c * b2[1])
+        if width_in_direction(p, v) == n1:
+            directions.append(normalize_sign(v))
+    return WidthResult(n1, sort_directions(directions))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -186,9 +266,11 @@ def lattice_size_square(p: Polygon) -> SizeResult:
     """Smallest s such that a unimodular image of p fits in [0, s]^2.
 
     p fits in [0,s]^2 exactly when some lattice basis (v, w) has both widths
-    at most s; s runs from the lattice width up to the bounding-box value,
-    and for each s the candidate directions are scanned in increasing
-    (|x|, |y|) order so ties resolve deterministically.
+    at most s.  In the plane the two successive minima of the width norm are
+    attained by a basis, so for a 2-dimensional p the size is lambda2, read
+    off the reduced basis.  The witness rows are the first pair
+    with |det| = 1 among the directions of width at most lambda2 in
+    increasing (|x|, |y|, v) order, so ties resolve deterministically.
     """
     if p.dimension == 0:
         vtx = p.vertices[0]
@@ -201,16 +283,15 @@ def lattice_size_square(p: Polygon) -> SizeResult:
         _, s, t = _xgcd(e[0], e[1])
         return SizeResult(length, _witness_from_rows(p, (-e[1], e[0]), (s, t)))
 
-    wx, wy = _axis_widths(p)
-    start = lattice_width(p).width
-    for s in range(start, max(wx, wy) + 1):
-        candidates = list(iter_narrow_directions(p, s))
-        candidates.sort(key=lambda v: (abs(v[0]), abs(v[1]), v))
-        for v in candidates:
-            for w in candidates:
-                if abs(cross(v, w)) == 1:
-                    return SizeResult(s, _witness_from_rows(p, v, w))
-    raise AssertionError("unreachable: the bounding-box basis always fits")
+    size = _reduced_basis(p)[3]
+    candidates = sorted(
+        iter_narrow_directions(p, size), key=lambda v: (abs(v[0]), abs(v[1]), v)
+    )
+    for v in candidates:
+        for w in candidates:
+            if abs(cross(v, w)) == 1:
+                return SizeResult(size, _witness_from_rows(p, v, w))
+    raise AssertionError("unreachable: the reduced basis has both widths at most lambda2")
 
 
 def embed_in_square(p: Polygon) -> Optional[UnimodularMap]:

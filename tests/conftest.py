@@ -5,7 +5,24 @@ import random
 import numpy as np
 import pytest
 
-from latwidth import Polygon, UnimodularMap, apply_map, compose_maps, convex_hull
+from latwidth import (
+    Polygon,
+    SizeResult,
+    UnimodularMap,
+    WidthResult,
+    apply_map,
+    compose_maps,
+    convex_hull,
+    width_in_direction,
+)
+from latwidth.core import cross
+from latwidth.width import (
+    _corner_difference_vectors,
+    _witness_from_rows,
+    iter_narrow_directions,
+    iter_region_directions,
+    sort_directions,
+)
 
 
 def random_polygon(rng: random.Random, span: int = 8, points: int = 6) -> Polygon:
@@ -64,6 +81,46 @@ def naive_lattice_width(p: Polygon, factor: int = 4):
     best = int(widths.min())
     idx = np.nonzero(widths == best)[0]
     return best, {(int(vx[i]), int(vy[i])) for i in idx}
+
+
+def _axis_widths(p: Polygon) -> tuple[int, int]:
+    xs = [v[0] for v in p.vertices]
+    ys = [v[1] for v in p.vertices]
+    return max(xs) - min(xs), max(ys) - min(ys)
+
+
+def region_scan_width(p: Polygon) -> WidthResult:
+    """Lattice width of a 2-dimensional p by walking every direction of the
+    region that the smaller bounding-box side bounds: O(min side^2)
+    candidates.  The reference for the reduced-basis ``lattice_width``."""
+    upper = min(_axis_widths(p))
+    u1, u2 = _corner_difference_vectors(p)
+    best = upper
+    argmin = []
+    for v in iter_region_directions(u1, u2, upper):
+        w = width_in_direction(p, v)
+        if w < best:
+            best = w
+            argmin = [v]
+        elif w == best:
+            argmin.append(v)
+    return WidthResult(best, sort_directions(argmin))
+
+
+def region_scan_size(p: Polygon) -> SizeResult:
+    """Lattice size of a 2-dimensional p by trying s = width, width + 1, ...
+    until two directions of width at most s form a basis; the witness is
+    the first such pair in (|x|, |y|, v) order.  The reference for the
+    reduced-basis ``lattice_size_square``."""
+    for s in range(region_scan_width(p).width, max(_axis_widths(p)) + 1):
+        candidates = sorted(
+            iter_narrow_directions(p, s), key=lambda v: (abs(v[0]), abs(v[1]), v)
+        )
+        for v in candidates:
+            for w in candidates:
+                if abs(cross(v, w)) == 1:
+                    return SizeResult(s, _witness_from_rows(p, v, w))
+    raise AssertionError("the bounding-box basis always fits")
 
 
 def naive_lattice_points(p: Polygon) -> frozenset:

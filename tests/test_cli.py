@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,34 @@ def test_lattice_size_command(capsys, tmp_path):
     data = json.loads(out)
     assert code == 0 and data["ls_square"] == 5
     assert set(data["witness"]) == {"a", "b"}
+
+
+def _run_cli_process(*argv):
+    # a separate interpreter, so a runaway computation ends at the timeout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "latwidth.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_width_and_size_at_the_coordinate_limit(tmp_path):
+    vertices = [[0, 0], [999_999, 999_998], [1_000_000, 999_999]]
+    f = write_polygon(tmp_path / "thin.json", vertices)
+    data = _run_cli_process("width", f)
+    assert data["lw"] == 1 and data["ls_square"] == 1
+    assert len(data["directions"]) == 3
+
+    data = _run_cli_process("lattice-size", f)
+    assert data["ls_square"] == 1
+    (a11, a12), (a21, a22) = data["witness"]["a"]
+    bx, by = data["witness"]["b"]
+    assert abs(a11 * a22 - a12 * a21) == 1
+    for x, y in vertices:
+        assert 0 <= a11 * x + a12 * y + bx <= 1 and 0 <= a21 * x + a22 * y + by <= 1
 
 
 def test_minimal_and_classify_commands(capsys, tmp_path, ups1_file):

@@ -1,18 +1,28 @@
-import pytest
-
 from latwidth import (
+    UnimodularMap,
     apply_map,
     convex_hull,
     embed_in_square,
+    four_direction_quadrangle,
     invert_map,
+    iter_full_width_polygons,
     lattice_size_square,
     lattice_width,
     normalize_sign,
     upsilon,
     width_in_direction,
 )
-from latwidth.core import dot
-from conftest import naive_lattice_width, random_polygon, random_unimodular
+from latwidth.core import cross, dot
+from latwidth.width import _reduced_basis, _xgcd
+from conftest import (
+    naive_lattice_width,
+    random_hull,
+    random_large_image,
+    random_polygon,
+    random_unimodular,
+    region_scan_size,
+    region_scan_width,
+)
 
 UPS1 = convex_hull([(0, 0), (1, 2), (2, 1)])
 SIMPLEX = convex_hull([(0, 0), (1, 0), (0, 1)])
@@ -159,6 +169,97 @@ def test_degenerate_size_witness():
     assert res.size == 2
     image = apply_map(res.witness, seg)
     assert all(0 <= x <= 2 and 0 <= y <= 2 for x, y in image.vertices)
+
+
+def _inverse_transpose(m: UnimodularMap, u):
+    # v is a width direction of m(p) iff A^T v is one of p, so v = A^{-T} u
+    inv = invert_map(m)
+    return normalize_sign((inv.a11 * u[0] + inv.a21 * u[1], inv.a12 * u[0] + inv.a22 * u[1]))
+
+
+def _region_scan_corpus(rng):
+    yield from (p for d in range(1, 5) for p in iter_full_width_polygons(d))
+    hulls = 0
+    while hulls < 3000:
+        p = random_hull(rng)
+        if p.dimension == 2:
+            hulls += 1
+            yield p
+    images = 0
+    while images < 300:
+        p = random_large_image(rng, random_hull(rng, span=5))
+        if p.dimension == 2:
+            images += 1
+            yield p
+
+
+def test_width_and_size_match_the_region_scan(rng):
+    # the 9,024 polygons of the d <= 4 universe, random hulls, and images
+    # with coordinates in the hundreds; widths, direction tuples, sizes and
+    # witness maps must be identical to the exhaustive scans
+    count = 0
+    for p in _region_scan_corpus(rng):
+        count += 1
+        assert lattice_width(p) == region_scan_width(p), p.vertices
+        assert lattice_size_square(p) == region_scan_size(p), p.vertices
+    assert count == 9024 + 3000 + 300
+
+
+def test_four_direction_images_keep_four_directions(rng):
+    # every image takes the tie branch; some width direction needs a
+    # coefficient 2 on the second reduced basis vector
+    coefficients = set()
+    for d in (2, 4, 6):
+        quad = four_direction_quadrangle(d)
+        base = lattice_width(quad)
+        for _ in range(60):
+            m = random_unimodular(rng, magnitude=40)
+            q = apply_map(m, quad)
+            res = lattice_width(q)
+            assert res.width == d
+            assert len(res.directions) == 4
+            assert set(res.directions) == {_inverse_transpose(m, u) for u in base.directions}
+            b1, _, b2, _ = _reduced_basis(q)
+            det = cross(b1, b2)
+            coefficients |= {
+                (abs(cross(v, b2) // det), abs(cross(b1, v) // det)) for v in res.directions
+            }
+    assert max(c for _, c in coefficients) == 2
+    assert max(a for a, _ in coefficients) == 2
+
+
+def _large_unimodular(rng, magnitude):
+    # first column (a, c) coprime with entries near the magnitude; the
+    # second column from the Bezout identity a*a22 - a12*c = 1
+    while True:
+        a = rng.randint(magnitude // 10, magnitude)
+        c = rng.choice((-1, 1)) * rng.randint(magnitude // 10, magnitude)
+        g, s, t = _xgcd(a, c)
+        if g == 1:
+            return UnimodularMap(a, -t, c, s, rng.randint(-1000, 1000), rng.randint(-1000, 1000))
+
+
+def test_width_and_size_at_coordinates_near_a_million(rng):
+    # bounding-box sides in the hundreds of thousands: out of reach of any
+    # region scan, so only the reduced basis can answer
+    for _ in range(100):
+        p = random_polygon(rng, span=4, points=5)
+        m = _large_unimodular(rng, 10**5)
+        q = apply_map(m, p)
+        xs = [x for x, _ in q.vertices]
+        ys = [y for _, y in q.vertices]
+        assert min(max(xs) - min(xs), max(ys) - min(ys)) > 10**4
+        assert max(map(abs, xs + ys)) <= 10**6
+
+        expected = lattice_width(p)
+        got = lattice_width(q)
+        assert got.width == expected.width
+        assert set(got.directions) == {_inverse_transpose(m, u) for u in expected.directions}
+
+        size = lattice_size_square(q)
+        assert size.size == lattice_size_square(p).size
+        image = apply_map(size.witness, q)
+        assert all(0 <= x <= size.size and 0 <= y <= size.size for x, y in image.vertices)
 
 
 def test_dot_helper():
