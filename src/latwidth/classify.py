@@ -33,7 +33,7 @@ from .core import (
     sub,
 )
 from .minimal import is_minimal
-from .width import iter_narrow_directions, sort_directions
+from .width import _reduced_basis, sort_directions
 
 # field names of each family, sorted; T3..T5 lead with the shoulder l
 _FIELD_NAMES = {
@@ -388,7 +388,7 @@ def iter_full_width_polygons(d: int) -> Iterator[Polygon]:
         return
     for p in iter_convex_polygons(d):
         # both extents are d, so the width is d unless a direction is narrower
-        if next(iter_narrow_directions(p, d - 1), None) is None:
+        if _reduced_basis(p)[1] == d:
             yield p
 
 

@@ -19,9 +19,9 @@ from .core import (
     lattice_points,
 )
 from .width import (
+    _directions_within,
+    _reduced_basis,
     _segment_normal,
-    iter_narrow_directions,
-    lattice_width,
     width_in_direction,
 )
 
@@ -72,23 +72,20 @@ def is_minimal(p: Polygon) -> MinimalityReport:
     stops at the first offender.
 
     A remainder R = drop_vertex(p, v) lies inside p, so its width is at
-    most d = width(p), and v offends exactly when no direction has
-    width_R <= d - 1.  A point or segment remainder has width 0 < d.  For a
-    2-dimensional R, every direction of width_R <= d - 1 pairs to at most
-    d - 1 in absolute value with R's corner edge vectors, so the bounded
-    scan ``iter_narrow_directions(R, d - 1)`` finds one if it exists, in
-    O(d^2) candidates instead of a full lattice-width computation.
+    most d = width(p), and v offends exactly when R still has width d.  A
+    point or segment remainder has width 0 < d.  For a 2-dimensional R the
+    width is N(b1) of a reduced basis of R, and the reduction starts from
+    p's reduced basis: R differs from p by one corner, so that basis is
+    nearly reduced for R and only a few rounds are needed.
     """
     if p.dimension == 0:
         return MinimalityReport(True, None, 0)
     if p.dimension == 1:
         return MinimalityReport(False, p.vertices[0], 0)
-    d = lattice_width(p).width
+    b1, d, b2, _ = _reduced_basis(p)
     for v in sorted(p.vertices):
         remainder = drop_vertex(p, v)
-        if remainder.dimension < 2:
-            continue
-        if next(iter_narrow_directions(remainder, d - 1), None) is None:
+        if remainder.dimension == 2 and _reduced_basis(remainder, (b1, b2))[1] >= d:
             return MinimalityReport(False, v, d)
     return MinimalityReport(True, None, d)
 
@@ -109,20 +106,22 @@ def upsilon_lemma_witness(p: Polygon) -> Optional[tuple[Vec, Vec]]:
 
     Any polygon admitting such a pair is equivalent to upsilon(d); this is
     the detector for that exceptional case.  Vertices are scanned in cycle
-    order and directions in the fixed region order, so the first hit is
+    order and, for each, the directions of width at most d - 1 on the
+    deleted polygon in (|x|, |y|, v) order, so the first hit is
     deterministic.
     """
-    d = lattice_width(p).width
-    if d <= 0:
+    if p.dimension < 2:
         raise OutOfRange("defined for polygons of positive lattice width")
+    b1, d, b2, _ = _reduced_basis(p)
     for vertex in p.vertices:
         remainder = drop_vertex(p, vertex)
         if remainder.dimension == 0:
             continue
         if remainder.dimension == 1:
-            candidates = iter((_segment_normal(remainder),))
+            candidates = (_segment_normal(remainder),)
         else:
-            candidates = iter_narrow_directions(remainder, d - 1)
+            basis = _reduced_basis(remainder, (b1, b2))
+            candidates = _directions_within(remainder, basis, d - 1)
         for v in candidates:
             if width_in_direction(remainder, v) < width_in_direction(p, v) - 1:
                 return vertex, v

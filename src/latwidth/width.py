@@ -13,11 +13,13 @@ plane, Eisenbrand & Laue, Math. Program. 2005), which needs a number of
 rounds logarithmic in the coordinate size and O(log C) norm evaluations per
 round, whatever the shape of p.
 
-Bounded questions -- which directions have width at most b? -- are answered
-by ``iter_narrow_directions``: such a v pairs to at most b in absolute value
-with two independent edge vectors u1, u2 of p, which confines it to a
-parallelogram walked in (``<v,u1>``, ``<v,u2>``) coordinates at cost
-O(b^2), independent of the size of p's coordinates.
+Bounded questions are answered from the same reduced basis.  Whether
+lambda1 is at most b is a comparison of N(b1) with b; for a polygon inside
+p, such as p with a vertex deleted, the reduction starts from p's reduced
+basis and needs few rounds.  The directions of width at most b are the
+a*b1 + c*b2 with 0 <= c <= 2b/lambda2 and |a| <= (b + c*lambda2)/lambda1,
+so ``_directions_within`` lists them by walking that range, whatever the
+size of p's coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import (
     Polygon,
@@ -89,54 +91,6 @@ def sort_directions(dirs) -> tuple[Vec, ...]:
     return tuple(sorted(dirs, key=cmp_to_key(_direction_order)))
 
 
-def iter_region_directions(u1: Vec, u2: Vec, bound: int) -> Iterator[Vec]:
-    """Primitive sign-normalized v with ``|<v,u1>| <= bound`` and
-    ``|<v,u2>| <= bound``, for independent u1, u2.
-
-    Walks the coefficient pairs (c1, c2) = (<v,u1>, <v,u2>) over half the
-    square (the other half yields the opposite vectors) and inverts the 2x2
-    system exactly; each region vector appears exactly once, in a fixed order.
-    """
-    det = cross(u1, u2)
-    if det == 0:
-        raise ValueError("u1 and u2 must be linearly independent")
-    u1x, u1y = u1
-    u2x, u2y = u2
-    for c1 in range(0, bound + 1):
-        c2_start = 1 if c1 == 0 else -bound
-        for c2 in range(c2_start, bound + 1):
-            nx = c1 * u2y - c2 * u1y
-            ny = c2 * u1x - c1 * u2x
-            if nx % det or ny % det:
-                continue
-            vx, vy = nx // det, ny // det
-            if gcd(abs(vx), abs(vy)) != 1:
-                continue
-            yield normalize_sign((vx, vy))
-
-
-def _corner_difference_vectors(p: Polygon) -> tuple[Vec, Vec]:
-    # the two edge vectors at the starting (lexicographically smallest)
-    # vertex; independent for any 2-dimensional polygon
-    vs = p.vertices
-    return sub(vs[1], vs[0]), sub(vs[-1], vs[0])
-
-
-def iter_narrow_directions(p: Polygon, bound: int) -> Iterator[Vec]:
-    """Primitive sign-normalized directions v with ``width_p(v) <= bound``
-    for a 2-dimensional p, in the fixed region order.
-
-    Every difference u of two points of p has ``|<v,u>| <= width_p(v)``, in
-    particular the two corner edge vectors u1, u2.  So every such v lies in
-    the region scanned by ``iter_region_directions(u1, u2, bound)``, and the
-    scan costs O(bound^2) candidates whatever the size of p's coordinates.
-    """
-    u1, u2 = _corner_difference_vectors(p)
-    for v in iter_region_directions(u1, u2, bound):
-        if width_in_direction(p, v) <= bound:
-            yield v
-
-
 def _segment_normal(p: Polygon) -> Vec:
     e = make_primitive(sub(p.vertices[1], p.vertices[0]))
     return normalize_sign((-e[1], e[0]))
@@ -171,21 +125,28 @@ def _best_step(p: Polygon, b1: Vec, n1: int, b2: Vec, n2: int) -> int:
     return lo
 
 
-def _reduced_basis(p: Polygon) -> tuple[Vec, int, Vec, int]:
+def _reduced_basis(
+    p: Polygon, start: tuple[Vec, Vec] = ((1, 0), (0, 1))
+) -> tuple[Vec, int, Vec, int]:
     """A lattice basis (b1, b2) reduced for the width norm N of a
     2-dimensional p, with n1 = N(b1) and n2 = N(b2).
 
-    Generalized Gauss reduction: start from (1,0), (0,1) ordered so that
-    N(b1) <= N(b2), replace b2 by b2 - mu*b1 for the mu minimizing N, and
-    swap while N(b2) < N(b1); each swap lowers N(b1), so the loop ends.  The
-    result has N(b1) <= N(b2) <= N(b2 + k*b1) for every integer k, so it
-    attains both successive minima: a lattice vector v = a*b1 + c*b2 with
-    c = 0 is a multiple of b1, and with c != 0 it has N(v) >= N(b2) (for
-    |c| >= 2 take k nearest a/c; then
+    Generalized Gauss reduction: start from the lattice basis ``start``
+    (by default (1,0), (0,1)) ordered so that N(b1) <= N(b2), replace b2 by
+    b2 - mu*b1 for the mu minimizing N, and swap while N(b2) < N(b1); each
+    swap lowers N(b1), so the loop ends.  The result has
+    N(b1) <= N(b2) <= N(b2 + k*b1) for every integer k, so it attains both
+    successive minima: a lattice vector v = a*b1 + c*b2 with c = 0 is a
+    multiple of b1, and with c != 0 it has N(v) >= N(b2) (for |c| >= 2 take
+    k nearest a/c; then
     N(v) >= |c|*N(b2 + k*b1) - |a - c*k|*N(b1) >= |c|*N(b2)/2).  Hence
     lambda1 = n1 and lambda2 = n2.
+
+    Nothing in the argument depends on the start, so any lattice basis
+    will do; one that is already nearly reduced for N, such as the reduced
+    basis of a polygon containing p, saves most of the rounds.
     """
-    b1, b2 = (1, 0), (0, 1)
+    b1, b2 = start
     n1, n2 = width_in_direction(p, b1), width_in_direction(p, b2)
     if n2 < n1:
         b1, n1, b2, n2 = b2, n2, b1, n1
@@ -199,14 +160,30 @@ def _reduced_basis(p: Polygon) -> tuple[Vec, int, Vec, int]:
         b1, n1, b2, n2 = b2, n2, b1, n1
 
 
-# coefficient pairs (a, c), one of each sign pair, of the primitive
-# a*b1 + c*b2 with |a|, |c| <= 2: every width direction on a tie
-_TIE_COEFFICIENTS = tuple(
-    (a, c)
-    for c in range(3)
-    for a in range(-2, 3)
-    if gcd(a, c) == 1 and (c > 0 or a > 0)
-)
+def _directions_within(
+    p: Polygon, basis: tuple[Vec, int, Vec, int], bound: int
+) -> list[Vec]:
+    """Primitive sign-normalized directions v with ``N(v) <= bound``, for
+    the width norm N of a 2-dimensional p and a reduced basis
+    (b1, n1, b2, n2) of it, sorted by (|x|, |y|, v).
+
+    Every v is a*b1 + c*b2, and one of +-v has c > 0 or is b1.  For c >= 1
+    the reduced basis gives N(v) >= c*n2/2 (see ``_reduced_basis``; for
+    c = 1, N(v) >= n2 directly), so N(v) <= bound needs c <= 2*bound/n2,
+    and c = 1 needs n2 <= bound.  The triangle inequality on
+    a*b1 = v - c*b2 gives |a|*n1 <= N(v) + c*n2 <= bound + c*n2, which
+    bounds a.  Only primitive candidates, gcd(a, c) = 1, are evaluated.
+    """
+    b1, n1, b2, n2 = basis
+    found = [normalize_sign(b1)] if n1 <= bound else []
+    for c in range(1 if n2 <= bound else 2, 2 * bound // n2 + 1):
+        reach = (bound + c * n2) // n1
+        for a in range(-reach, reach + 1):
+            if gcd(a, c) == 1:
+                v = (a * b1[0] + c * b2[0], a * b1[1] + c * b2[1])
+                if width_in_direction(p, v) <= bound:
+                    found.append(normalize_sign(v))
+    return sorted(found, key=lambda v: (abs(v[0]), abs(v[1]), v))
 
 
 def lattice_width(p: Polygon) -> WidthResult:
@@ -216,31 +193,20 @@ def lattice_width(p: Polygon) -> WidthResult:
     single primitive direction orthogonal to it.
 
     For a 2-dimensional p, a reduced basis (b1, b2) of the width norm N
-    gives the width lambda1 = N(b1).  When N(b2) > N(b1), b1 is the only
-    width direction: a second one would be independent of b1 and make
-    lambda2 = lambda1.  On a tie, every width direction is a primitive
-    v = a*b1 + c*b2 with |a|, |c| <= 2.  The body lambda1*B, B the unit ball
-    of N, has no nonzero lattice point in its interior, so its area is at
-    most 4 (Minkowski).  If |c| >= 3 it would contain +-b1 and +-v, hence
-    their hull of area 2*|det(b1, v)| = 2*|c| >= 6; the same argument with
-    b2 bounds |a|.  |c| = 2 does occur.  A lattice polygon has at most four
-    width directions (Draisma, McAllister & Nill 2012), all among these
-    candidates.
+    gives the width lambda1 = N(b1), and the width directions are the
+    directions of width at most lambda1, listed by ``_directions_within``.
+    When N(b2) > N(b1), b1 is the only one: a second would be independent
+    of b1 and make lambda2 = lambda1.  A lattice polygon has at most four width directions
+    (Draisma, McAllister & Nill 2012).
     """
     if p.dimension == 0:
         return WidthResult(0, ())
     if p.dimension == 1:
         return WidthResult(0, (_segment_normal(p),))
 
-    b1, n1, b2, n2 = _reduced_basis(p)
-    if n2 > n1:
-        return WidthResult(n1, (normalize_sign(b1),))
-    directions = []
-    for a, c in _TIE_COEFFICIENTS:
-        v = (a * b1[0] + c * b2[0], a * b1[1] + c * b2[1])
-        if width_in_direction(p, v) == n1:
-            directions.append(normalize_sign(v))
-    return WidthResult(n1, sort_directions(directions))
+    basis = _reduced_basis(p)
+    width = basis[1]
+    return WidthResult(width, sort_directions(_directions_within(p, basis, width)))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -269,8 +235,9 @@ def lattice_size_square(p: Polygon) -> SizeResult:
     at most s.  In the plane the two successive minima of the width norm are
     attained by a basis, so for a 2-dimensional p the size is lambda2, read
     off the reduced basis.  The witness rows are the first pair
-    with |det| = 1 among the directions of width at most lambda2 in
-    increasing (|x|, |y|, v) order, so ties resolve deterministically.
+    with |det| = 1 among the directions of width at most lambda2
+    (``_directions_within``) in increasing (|x|, |y|, v) order, so ties
+    resolve deterministically.
     """
     if p.dimension == 0:
         vtx = p.vertices[0]
@@ -283,10 +250,9 @@ def lattice_size_square(p: Polygon) -> SizeResult:
         _, s, t = _xgcd(e[0], e[1])
         return SizeResult(length, _witness_from_rows(p, (-e[1], e[0]), (s, t)))
 
-    size = _reduced_basis(p)[3]
-    candidates = sorted(
-        iter_narrow_directions(p, size), key=lambda v: (abs(v[0]), abs(v[1]), v)
-    )
+    basis = _reduced_basis(p)
+    size = basis[3]
+    candidates = _directions_within(p, basis, size)
     for v in candidates:
         for w in candidates:
             if abs(cross(v, w)) == 1:

@@ -15,14 +15,10 @@ from latwidth import (
     convex_hull,
     width_in_direction,
 )
-from latwidth.core import cross
-from latwidth.width import (
-    _corner_difference_vectors,
-    _witness_from_rows,
-    iter_narrow_directions,
-    iter_region_directions,
-    sort_directions,
-)
+from math import gcd
+
+from latwidth.core import cross, sub
+from latwidth.width import _witness_from_rows, normalize_sign, sort_directions
 
 
 def random_polygon(rng: random.Random, span: int = 8, points: int = 6) -> Polygon:
@@ -89,6 +85,50 @@ def _axis_widths(p: Polygon) -> tuple[int, int]:
     return max(xs) - min(xs), max(ys) - min(ys)
 
 
+def iter_region_directions(u1, u2, bound: int):
+    """Primitive sign-normalized v with ``|<v,u1>| <= bound`` and
+    ``|<v,u2>| <= bound``, for independent u1, u2.
+
+    Walks the coefficient pairs (c1, c2) = (<v,u1>, <v,u2>) over half the
+    square (the other half yields the opposite vectors) and inverts the 2x2
+    system exactly; each region vector appears exactly once, in a fixed order.
+    """
+    det = cross(u1, u2)
+    if det == 0:
+        raise ValueError("u1 and u2 must be linearly independent")
+    u1x, u1y = u1
+    u2x, u2y = u2
+    for c1 in range(0, bound + 1):
+        c2_start = 1 if c1 == 0 else -bound
+        for c2 in range(c2_start, bound + 1):
+            nx = c1 * u2y - c2 * u1y
+            ny = c2 * u1x - c1 * u2x
+            if nx % det or ny % det:
+                continue
+            vx, vy = nx // det, ny // det
+            if gcd(abs(vx), abs(vy)) != 1:
+                continue
+            yield normalize_sign((vx, vy))
+
+
+def _corner_difference_vectors(p: Polygon):
+    # the two edge vectors at the starting (lexicographically smallest)
+    # vertex; independent for any 2-dimensional polygon
+    vs = p.vertices
+    return sub(vs[1], vs[0]), sub(vs[-1], vs[0])
+
+
+def region_scan_directions(p: Polygon, bound: int) -> list:
+    """Primitive sign-normalized directions of width at most the bound for a
+    2-dimensional p, sorted by (|x|, |y|, v).  Every difference u of two
+    points of p has ``|<v,u>| <= width_p(v)``, in particular the two corner
+    edge vectors, so the region they bound holds every such v: O(bound^2)
+    candidates.  The reference for the reduced-basis listing."""
+    u1, u2 = _corner_difference_vectors(p)
+    found = [v for v in iter_region_directions(u1, u2, bound) if width_in_direction(p, v) <= bound]
+    return sorted(found, key=lambda v: (abs(v[0]), abs(v[1]), v))
+
+
 def region_scan_width(p: Polygon) -> WidthResult:
     """Lattice width of a 2-dimensional p by walking every direction of the
     region that the smaller bounding-box side bounds: O(min side^2)
@@ -113,9 +153,7 @@ def region_scan_size(p: Polygon) -> SizeResult:
     the first such pair in (|x|, |y|, v) order.  The reference for the
     reduced-basis ``lattice_size_square``."""
     for s in range(region_scan_width(p).width, max(_axis_widths(p)) + 1):
-        candidates = sorted(
-            iter_narrow_directions(p, s), key=lambda v: (abs(v[0]), abs(v[1]), v)
-        )
+        candidates = region_scan_directions(p, s)
         for v in candidates:
             for w in candidates:
                 if abs(cross(v, w)) == 1:

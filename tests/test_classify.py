@@ -8,7 +8,6 @@ from latwidth import (
     ParamOutOfRange,
     TypeParams,
     apply_map,
-    are_equivalent,
     brute_force_minimal,
     canonical_form,
     classify_polygon,

@@ -75,11 +75,28 @@ def test_width_and_size_at_the_coordinate_limit(tmp_path):
 
     data = _run_cli_process("lattice-size", f)
     assert data["ls_square"] == 1
-    (a11, a12), (a21, a22) = data["witness"]["a"]
-    bx, by = data["witness"]["b"]
+    _assert_witness_fits(data["witness"], vertices, 1)
+
+
+def test_width_and_size_of_the_square_at_the_coordinate_limit(tmp_path):
+    n = 1_000_000
+    vertices = [[0, 0], [n, 0], [n, n], [0, n]]
+    f = write_polygon(tmp_path / "square.json", vertices)
+    data = _run_cli_process("width", f)
+    assert data["lw"] == n and data["ls_square"] == n
+    assert sorted(data["directions"]) == [[0, 1], [1, 0]]
+
+    data = _run_cli_process("lattice-size", f)
+    assert data["ls_square"] == n
+    _assert_witness_fits(data["witness"], vertices, n)
+
+
+def _assert_witness_fits(witness, vertices, size):
+    (a11, a12), (a21, a22) = witness["a"]
+    bx, by = witness["b"]
     assert abs(a11 * a22 - a12 * a21) == 1
     for x, y in vertices:
-        assert 0 <= a11 * x + a12 * y + bx <= 1 and 0 <= a21 * x + a22 * y + by <= 1
+        assert 0 <= a11 * x + a12 * y + bx <= size and 0 <= a21 * x + a22 * y + by <= size
 
 
 def test_minimal_and_classify_commands(capsys, tmp_path, ups1_file):

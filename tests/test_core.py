@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from latwidth import (
     EmptyInput,
     NotUnimodular,
-    Polygon,
     UnimodularMap,
     ZeroVector,
     apply_map,

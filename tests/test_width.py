@@ -2,6 +2,7 @@ from latwidth import (
     UnimodularMap,
     apply_map,
     convex_hull,
+    drop_vertex,
     embed_in_square,
     four_direction_quadrangle,
     invert_map,
@@ -13,13 +14,14 @@ from latwidth import (
     width_in_direction,
 )
 from latwidth.core import cross, dot
-from latwidth.width import _reduced_basis, _xgcd
+from latwidth.width import _directions_within, _reduced_basis, _xgcd
 from conftest import (
     naive_lattice_width,
     random_hull,
     random_large_image,
     random_polygon,
     random_unimodular,
+    region_scan_directions,
     region_scan_size,
     region_scan_width,
 )
@@ -203,6 +205,37 @@ def test_width_and_size_match_the_region_scan(rng):
         assert lattice_width(p) == region_scan_width(p), p.vertices
         assert lattice_size_square(p) == region_scan_size(p), p.vertices
     assert count == 9024 + 3000 + 300
+
+
+def test_listing_matches_the_region_scan(rng):
+    # bounds on both sides of both successive minima, where the c = 1 and
+    # c = 2 rows of the listing switch on
+    for p in _region_scan_corpus(rng):
+        basis = _reduced_basis(p)
+        _, n1, _, n2 = basis
+        for bound in (n1 - 1, n1, n2, n2 + 1):
+            expected = region_scan_directions(p, bound)
+            assert _directions_within(p, basis, bound) == expected, (p.vertices, bound)
+
+
+def test_reduction_from_any_start_basis(rng):
+    # the successive minima do not depend on the basis the reduction starts
+    # from, whether a random one or that of a polygon containing the input
+    # (a vertex deletion); the result is again a lattice basis
+    for _ in range(1000):
+        p = random_polygon(rng, span=8, points=5)
+        remainder = drop_vertex(p, rng.choice(p.vertices))
+        if remainder.dimension < 2:
+            continue
+        b1, _, b2, _ = _reduced_basis(p)
+        m = random_unimodular(rng, magnitude=40)
+        _, n1, _, n2 = _reduced_basis(remainder)
+        for start in ((b1, b2), ((m.a11, m.a12), (m.a21, m.a22))):
+            c1, m1, c2, m2 = _reduced_basis(remainder, start)
+            assert (m1, m2) == (n1, n2)
+            assert abs(cross(c1, c2)) == 1
+            assert width_in_direction(remainder, c1) == m1
+            assert width_in_direction(remainder, c2) == m2
 
 
 def test_four_direction_images_keep_four_directions(rng):
