@@ -6,8 +6,15 @@ unique orientation-preserving lattice map that sends the vertex to the
 origin, the edge direction to (1, 0), and the polygon into the upper half
 plane, with the leftover shear pinned by reducing the other edge direction
 at that vertex.  The canonical form is the lexicographically smallest of the
-resulting vertex sequences, so it is the same for every polygon in the
+resulting 4n vertex sequences, so it is the same for every polygon in the
 class and doubles as a dictionary key.
+
+Every candidate sequence starts at (0, 0), so only the candidates with the
+smallest second vertex can win.  Each of the 4n maps is applied to the next
+vertex alone; full sequences, and the composed map, are built only for the
+candidates that tie on it.  Ties keep the earliest candidate in the order
+(orientation, vertex, outgoing before incoming edge), which fixes the map
+``classify`` prints as its witness.
 """
 
 from __future__ import annotations
@@ -76,24 +83,13 @@ def _normalizing_map(q: Polygon, i: int, outgoing: bool) -> UnimodularMap:
     return UnimodularMap(m.a11, m.a12, m.a21, m.a22, -ix, -iy)
 
 
-def _candidate_forms(p: Polygon) -> list[tuple[tuple[Vec, ...], UnimodularMap]]:
-    """All 4 * vertex-count candidate (vertex sequence, map) pairs for a
-    2-dimensional polygon."""
-    out = []
-    for mirrored in (False, True):
-        if mirrored:
-            q = apply_map(_MIRROR, p)
-            pre = _MIRROR
-        else:
-            q = p
-            pre = IDENTITY_MAP
-        n = len(q.vertices)
-        for i in range(n):
-            for outgoing in (True, False):
-                m = _normalizing_map(q, i, outgoing)
-                seq = tuple(m.apply(q.vertices[(i + j) % n]) for j in range(n))
-                out.append((seq, compose_maps(m, pre)))
-    return out
+def _mirrored(p: Polygon) -> Polygon:
+    # the image under (x, y) -> (x, -y): reversing the order restores the
+    # counterclockwise cycle, which starts at its smallest vertex as in
+    # convex_hull
+    vs = [(x, -y) for x, y in reversed(p.vertices)]
+    k = vs.index(min(vs))
+    return Polygon(tuple(vs[k:] + vs[:k]))
 
 
 def _canonical_with_map(p: Polygon) -> tuple[CanonicalForm, UnimodularMap]:
@@ -108,10 +104,25 @@ def _canonical_with_map(p: Polygon) -> tuple[CanonicalForm, UnimodularMap]:
         ix, iy = m.apply(a)
         full = UnimodularMap(m.a11, m.a12, m.a21, m.a22, -ix, -iy)
         return CanonicalForm(((0, 0), (length, 0))), full
+    n = len(p.vertices)
+    candidates = []
+    for pre, q in ((IDENTITY_MAP, p), (_MIRROR, _mirrored(p))):
+        for i in range(n):
+            following = q.vertices[(i + 1) % n]
+            for outgoing in (True, False):
+                m = _normalizing_map(q, i, outgoing)
+                candidates.append((m.apply(following), q, i, m, pre))
+    second = min(c[0] for c in candidates)
     # every candidate has n vertices, so comparing vertex by vertex orders
     # them as their flattened coordinates would; ties keep the first
-    best_seq, best_map = min(_candidate_forms(p), key=lambda c: c[0])
-    return CanonicalForm(best_seq), best_map
+    best = None
+    for following, q, i, m, pre in candidates:
+        if following == second:
+            seq = tuple(m.apply(q.vertices[(i + j) % n]) for j in range(n))
+            if best is None or seq < best[0]:
+                best = (seq, m, pre)
+    best_seq, m, pre = best
+    return CanonicalForm(best_seq), compose_maps(m, pre)
 
 
 def canonical_form(p: Polygon) -> CanonicalForm:

@@ -229,6 +229,16 @@ def iter_type_params(d: int) -> Iterator[TypeParams]:
                     yield TypeParams(tag, d, tuple(zip(names, head + values)))
 
 
+def _square_images(vertices: Sequence[Vec], d: int) -> Iterator[frozenset[Vec]]:
+    """The vertex sets of the images under the 8 symmetries of [0, d]^2:
+    (x, y) -> (x or d - x, y or d - y), optionally swapped."""
+    for flip_x in (False, True):
+        for flip_y in (False, True):
+            image = [(d - x if flip_x else x, d - y if flip_y else y) for x, y in vertices]
+            yield frozenset(image)
+            yield frozenset((y, x) for x, y in image)
+
+
 @dataclass
 class EnumerationStats:
     """Per-tag bookkeeping for one enumeration run."""
@@ -254,15 +264,32 @@ def enumerate_minimal_with_stats(
     only after passing both.  A new key is filtered for minimality and for
     width exactly d; the first tuple hitting a class (smallest (tag, values))
     is the stored representative.
+
+    Every family polygon lies in [0, d]^2, and most tuples give an image of
+    an earlier tuple's polygon under one of the 8 symmetries of that square.
+    So each computed form is memoized under the polygon's vertex set, and a
+    tuple reuses the form when the vertex set of one of its 8 images is
+    memoized.  This is
+    exact: a square symmetry is a unimodular map, so the image has the same
+    canonical form, and every step after the form is unchanged.  Hence the
+    classes, their representatives and the per-tag stats are the same as
+    when every tuple is keyed afresh.
     """
     if d < 0:
         raise OutOfRange("width must be nonnegative")
     stats = EnumerationStats.empty()
     classes: dict[str, MinimalClass] = {}
+    forms: dict[frozenset[Vec], CanonicalForm] = {}
     for params in iter_type_params(d):
         stats.generated[params.tag] += 1
         poly = generate(params)
-        form = canonical_form(poly)
+        for image in _square_images(poly.vertices, d):
+            form = forms.get(image)
+            if form is not None:
+                break
+        else:
+            form = canonical_form(poly)
+            forms[frozenset(poly.vertices)] = form
         key = form.byte_key
         if key in classes:
             stats.duplicates[params.tag] += 1

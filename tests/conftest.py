@@ -6,18 +6,27 @@ import numpy as np
 import pytest
 
 from latwidth import (
+    EnumerationStats,
+    MinimalClass,
     Polygon,
     SizeResult,
     UnimodularMap,
     WidthResult,
     apply_map,
+    canonical_form,
     compose_maps,
     convex_hull,
+    doubled_area,
+    generate,
+    is_minimal,
+    iter_type_params,
+    lattice_point_count,
     width_in_direction,
 )
 from math import gcd
 
-from latwidth.core import cross, sub
+from latwidth.canonical import _MIRROR, _normalizing_map
+from latwidth.core import IDENTITY_MAP, cross, sub
 from latwidth.width import _witness_from_rows, normalize_sign, sort_directions
 
 
@@ -159,6 +168,52 @@ def region_scan_size(p: Polygon) -> SizeResult:
                 if abs(cross(v, w)) == 1:
                     return SizeResult(s, _witness_from_rows(p, v, w))
     raise AssertionError("the bounding-box basis always fits")
+
+
+def candidate_forms(p: Polygon) -> list:
+    """All 4 * vertex-count (vertex sequence, map) candidates of a
+    2-dimensional polygon, each built in full, in the order mirror flag,
+    vertex, outgoing before incoming edge.  The smallest sequence, first on
+    ties, is the canonical form and its map: the reference for the pruned
+    search of ``_canonical_with_map``."""
+    out = []
+    for pre in (IDENTITY_MAP, _MIRROR):
+        q = apply_map(pre, p)
+        n = len(q.vertices)
+        for i in range(n):
+            for outgoing in (True, False):
+                m = _normalizing_map(q, i, outgoing)
+                seq = tuple(m.apply(q.vertices[(i + j) % n]) for j in range(n))
+                out.append((seq, compose_maps(m, pre)))
+    return out
+
+
+def enumerate_minimal_oracle(d: int):
+    """The family-driven enumeration without the orbit memo: every tuple is
+    generated and keyed by a fresh ``canonical_form``.  The reference for
+    ``enumerate_minimal_with_stats``."""
+    stats = EnumerationStats.empty()
+    classes = {}
+    for params in iter_type_params(d):
+        stats.generated[params.tag] += 1
+        poly = generate(params)
+        form = canonical_form(poly)
+        key = form.byte_key
+        if key in classes:
+            stats.duplicates[params.tag] += 1
+            continue
+        report = is_minimal(poly)
+        if not report.is_minimal:
+            stats.non_minimal[params.tag] += 1
+            continue
+        if report.width != d:
+            stats.wrong_width[params.tag] += 1
+            continue
+        classes[key] = MinimalClass(
+            form, params, lattice_point_count(poly), doubled_area(poly)
+        )
+    ordered = sorted(classes.values(), key=lambda c: (c.point_count, c.key))
+    return tuple(ordered), stats
 
 
 def naive_lattice_points(p: Polygon) -> frozenset:

@@ -7,13 +7,18 @@ from latwidth import (
     canonical_form,
     convex_hull,
     doubled_area,
+    four_direction_quadrangle,
+    generate,
+    hexagon,
+    iter_full_width_polygons,
+    iter_type_params,
     lattice_points,
     lattice_width,
     translation,
     upsilon,
 )
-from latwidth.canonical import _candidate_forms, _matrix_sending_to_x_axis
-from conftest import random_polygon, random_unimodular
+from latwidth.canonical import _canonical_with_map, _matrix_sending_to_x_axis
+from conftest import candidate_forms, random_large_image, random_polygon, random_unimodular
 
 UPS1 = convex_hull([(0, 0), (1, 2), (2, 1)])
 
@@ -83,7 +88,41 @@ def test_separation_by_invariants(rng):
 def test_candidate_count_is_four_per_vertex(rng):
     for _ in range(50):
         p = random_polygon(rng, span=6)
-        assert len(_candidate_forms(p)) == 4 * len(p.vertices)
+        assert len(candidate_forms(p)) == 4 * len(p.vertices)
+
+
+def _assert_pruned_search_matches_oracle(polygons):
+    for p in polygons:
+        seq, m = min(candidate_forms(p), key=lambda c: c[0])
+        form, witness = _canonical_with_map(p)
+        assert (form.vertices, witness) == (seq, m), p
+
+
+def test_pruned_search_matches_oracle_on_the_brute_force_universe():
+    # every polygon of width d <= 4 in the d-square: 9,024 in all
+    _assert_pruned_search_matches_oracle(
+        p for d in range(1, 5) for p in iter_full_width_polygons(d)
+    )
+
+
+def test_pruned_search_matches_oracle_on_the_width_8_tuples():
+    _assert_pruned_search_matches_oracle(generate(t) for t in iter_type_params(8))
+
+
+def test_pruned_search_matches_oracle_on_large_images(rng):
+    _assert_pruned_search_matches_oracle(
+        random_large_image(rng, random_polygon(rng, span=5)) for _ in range(300)
+    )
+
+
+def test_pruned_search_keeps_the_first_of_tied_candidates():
+    # symmetric polygons have several candidates with the smallest sequence;
+    # the map of the first one in candidate order is the classify witness
+    square = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+    ties = [square]
+    ties += [four_direction_quadrangle(d) for d in range(2, 11, 2)]
+    ties += [hexagon(d, l) for d in range(1, 9) for l in range(d + 1)]
+    _assert_pruned_search_matches_oracle(ties)
 
 
 def test_byte_key_format():

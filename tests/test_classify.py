@@ -25,7 +25,7 @@ from latwidth import (
     upsilon,
 )
 from latwidth.classify import TAGS
-from conftest import naive_lattice_points, random_unimodular
+from conftest import enumerate_minimal_oracle, naive_lattice_points, random_unimodular
 
 # class counts fixed by the brute-force oracle ahead of the enumerator build
 GOLDEN_CLASS_COUNTS = {0: 1, 1: 1, 2: 4, 3: 7, 4: 22}
@@ -222,7 +222,7 @@ def test_box_enumeration_matches_subset_hulls():
         assert produced == expected
 
 
-# per-tag (generated, duplicates); every tuple for d <= 6 gives a minimal
+# per-tag (generated, duplicates); every tuple for d <= 8 gives a minimal
 # polygon of width d, so non_minimal and wrong_width stay empty
 ENUMERATION_STATS = {
     0: {"T1": (1, 0)},
@@ -232,6 +232,11 @@ ENUMERATION_STATS = {
     4: {"T1": (15, 8), "T2": (67, 55), "T3": (1, 0), "T4": (1, 0), "T5": (1, 0)},
     5: {"T1": (21, 12), "T2": (204, 176), "T3": (6, 2), "T4": (8, 4), "T5": (16, 14)},
     6: {"T1": (28, 15), "T2": (485, 419), "T3": (20, 8), "T4": (34, 15), "T5": (118, 102)},
+    7: {"T1": (36, 20), "T2": (986, 861), "T3": (50, 22), "T4": (104, 52), "T5": (560, 510)},
+    8: {
+        "T1": (45, 24), "T2": (1799, 1570), "T3": (105, 48), "T4": (259, 125),
+        "T5": (2003, 1816),
+    },
 }
 
 
@@ -241,6 +246,15 @@ def test_enumeration_stats_per_tag(d):
     counts = {tag: (n, stats.duplicates.get(tag, 0)) for tag, n in stats.generated.items()}
     assert counts == ENUMERATION_STATS[d]
     assert not any(stats.non_minimal.values()) and not any(stats.wrong_width.values())
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_orbit_memo_matches_the_unmemoized_loop(d):
+    classes, stats = enumerate_minimal_with_stats(d)
+    expected, expected_stats = enumerate_minimal_oracle(d)
+    summary = lambda cs: [(c.key, c.params, c.point_count, c.doubled_area) for c in cs]
+    assert summary(classes) == summary(expected)
+    assert stats == expected_stats
 
 
 def test_vertex_count_ceilings_per_tag():
@@ -311,11 +325,14 @@ def test_t1_corner_classes_are_inscribed():
                 assert is_inscribed_in_hexagon(generate(cls.params), d, 0)
 
 
+# frozen on first run; guard the enumerator against silent drift
+def test_width_9_regression_count():
+    assert len(enumerate_minimal(9)) == 1285
+
+
 @pytest.mark.skipif(
     not os.environ.get("LATWIDTH_SLOW"),
-    reason="multi-minute regression check; set LATWIDTH_SLOW=1 to run",
+    reason="enumerating width 10 takes several seconds; set LATWIDTH_SLOW=1 to run",
 )
 def test_large_width_regression_counts():
-    # frozen on first run; guards the enumerator against silent drift
-    assert len(enumerate_minimal(9)) == 1285
     assert len(enumerate_minimal(10)) == 2656

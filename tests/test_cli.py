@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -126,6 +127,29 @@ def test_enumerate_command(capsys):
     entry = data[0]
     assert set(entry) == {"key", "tag", "d", "params", "point_count", "doubled_area", "vertices"}
     assert entry["tag"] == "T1" and entry["point_count"] == 3
+
+
+# sha256 of the stdout bytes of `latwidth enumerate d`, recorded before the
+# orbit memo and the canonical-form pruning; the printed keys, representatives
+# and order must not move
+ENUMERATE_SHA256 = {
+    0: "a4d88014512538dfc85cc250cb87191a76c01a3e10d627a914f20a96f5093788",
+    1: "d92cda5345bf5021bfc4995427829d8dd748ec2e3278e55f387530616415d08e",
+    2: "4b7f368e367bc3a41d6d47173d9969b8e3f6c4e66bc1aad20f15bc00fc65e0bb",
+    3: "3f5e3c34cbcd225a3492c8dbaef0eab5a145a448cbe61074f9d410c2c1e315bf",
+    4: "c8ead492b2813df318e8da27a223793b421a9ca2979ea2e90cea77c55974358c",
+    5: "d19477d0f0249becb158c18152b954ec54f16985ad3072319d5fcb0a0e22b89e",
+    6: "b6a02f1ed1ff977e45b30d900630c64e988c7e8576b788176b904694e5c4f438",
+    7: "62a5570cb29f0eaf860b5fe74bf49aa907a12d4249d7913d815cae9785eddb0c",
+    8: "7d79cdc28e782e10d4b7de8a8a8cf230d8fb86225f268408d84a789dd0dc6425",
+}
+
+
+@pytest.mark.parametrize("d", sorted(ENUMERATE_SHA256))
+def test_enumerate_output_bytes_are_pinned(capsys, d):
+    code, out, _ = run(capsys, "enumerate", str(d))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[d]
 
 
 def test_enumerate_with_oracle(capsys):
