@@ -1,12 +1,22 @@
 """Machine verification of the sharp lattice-point and area bounds for
-minimal polygons, over the enumerated classes of each width."""
+minimal polygons, and of the structure properties ``latwidth verify``
+reports, over the enumerated classes of each width."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .classify import MinimalClass, enumerate_minimal
-from .core import OutOfRange
+from .canonical import are_equivalent
+from .classify import (
+    brute_force_minimal,
+    enumerate_minimal,
+    four_direction_quadrangle,
+    generate,
+    is_inscribed_in_hexagon,
+)
+from .core import OutOfRange, apply_map, convex_hull
+from .width import lattice_size_square, lattice_width
 
 
 @dataclass(frozen=True)
@@ -37,25 +47,84 @@ def doubled_volume_bound(d: int) -> int:
     return (3 * d * d + 1) // 4
 
 
-def _classes(d: int, classes) -> list[MinimalClass]:
-    return list(classes) if classes is not None else enumerate_minimal(d)
-
-
-def verify_point_bound(d: int, classes=None) -> BoundReport:
+def verify_point_bound(d: int) -> BoundReport:
     """Check every width-d class against the point bound; report the maximum
     reached and which classes reach it."""
     bound = point_bound(d)
-    found = _classes(d, classes)
+    found = enumerate_minimal(d)
     achieved = max(c.point_count for c in found)
     witnesses = tuple(c.key for c in found if c.point_count == achieved)
     return BoundReport(d, bound, achieved, witnesses, achieved <= bound)
 
 
-def verify_volume_bound(d: int, classes=None) -> BoundReport:
+def verify_volume_bound(d: int) -> BoundReport:
     """Check every width-d class against the doubled-area floor; report the
     minimum reached and which classes reach it."""
     bound = doubled_volume_bound(d)
-    found = _classes(d, classes)
+    found = enumerate_minimal(d)
     achieved = min(c.doubled_area for c in found)
     witnesses = tuple(c.key for c in found if c.doubled_area == achieved)
     return BoundReport(d, bound, achieved, witnesses, achieved >= bound)
+
+
+def verify_width(
+    d: int, oracle: bool = False
+) -> list[tuple[str, Optional[bool], str, Optional[BoundReport]]]:
+    """Each property ``latwidth verify`` checks over the width-d classes, in
+    order, as (name, passed, detail, report) tuples.
+
+    ``passed`` is None where a bound does not apply to width d; ``report``
+    is the BoundReport of a bound check, else None.  A bound passes when it
+    holds and is reached.  For d >= 1 every class has lattice size d (the
+    witness maps it into [0, d]^2); for even d >= 2 every class with four
+    width directions is ``four_direction_quadrangle(d)``; every T3..T5 class
+    is inscribed in the hexagon of its shoulder; and with ``oracle``
+    (d <= BRUTE_FORCE_LIMIT) the class keys are those of the brute force.
+    """
+    classes = enumerate_minimal(d)
+    checks = []
+    for name, low, verify in (
+        ("volume-bound", 1, verify_volume_bound),
+        ("point-bound", 2, verify_point_bound),
+    ):
+        if d < low:
+            checks.append((name, None, "", None))
+        else:
+            rep = verify(d)
+            passed = rep.holds and rep.achieved == rep.bound_value
+            detail = f"bound={rep.bound_value} achieved={rep.achieved}"
+            checks.append((name, passed, detail, rep))
+
+    if d >= 1:
+        good = True
+        for c in classes:
+            p = convex_hull(c.canonical.vertices)
+            size = lattice_size_square(p)
+            q = apply_map(size.witness, p)
+            if size.size != d or not all(0 <= x <= d and 0 <= y <= d for x, y in q.vertices):
+                good = False
+                break
+        checks.append(("lattice-size-equals-width", good, f"classes={len(classes)}", None))
+
+        if d % 2 == 0 and d >= 2:
+            quad = four_direction_quadrangle(d)
+            good = len(lattice_width(quad).directions) == 4
+            for c in classes:
+                p = convex_hull(c.canonical.vertices)
+                if len(lattice_width(p).directions) >= 4:
+                    good = good and are_equivalent(p, quad) is not None
+            checks.append(("four-direction-rigidity", good, "", None))
+
+        hex_classes = [c for c in classes if "l" in c.params.as_dict()]
+        good = all(
+            is_inscribed_in_hexagon(generate(c.params), d, c.params["l"])
+            for c in hex_classes
+        )
+        checks.append(("hexagon-inscription", good, f"classes={len(hex_classes)}", None))
+
+    if oracle:
+        oracle_keys = {c.key for c in brute_force_minimal(d)}
+        keys = {c.key for c in classes}
+        detail = f"classes={len(keys)} oracle={len(oracle_keys)}"
+        checks.append(("oracle-equivalence", keys == oracle_keys, detail, None))
+    return checks

@@ -28,13 +28,14 @@ from .core import (
     Polygon,
     UnimodularMap,
     Vec,
+    _xgcd,
     apply_map,
     compose_maps,
     invert_map,
     make_primitive,
+    polygon_from_cycle,
     sub,
 )
-from .width import _xgcd
 
 _MIRROR = UnimodularMap(1, 0, 0, -1)
 
@@ -85,11 +86,8 @@ def _normalizing_map(q: Polygon, i: int, outgoing: bool) -> UnimodularMap:
 
 def _mirrored(p: Polygon) -> Polygon:
     # the image under (x, y) -> (x, -y): reversing the order restores the
-    # counterclockwise cycle, which starts at its smallest vertex as in
-    # convex_hull
-    vs = [(x, -y) for x, y in reversed(p.vertices)]
-    k = vs.index(min(vs))
-    return Polygon(tuple(vs[k:] + vs[:k]))
+    # counterclockwise cycle
+    return polygon_from_cycle([(x, -y) for x, y in reversed(p.vertices)])
 
 
 def _canonical_with_map(p: Polygon) -> tuple[CanonicalForm, UnimodularMap]:

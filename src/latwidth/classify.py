@@ -24,13 +24,13 @@ from .core import (
     Polygon,
     UnimodularMap,
     Vec,
+    contains_point,
     contains_polygon,
     convex_hull,
-    cross,
     doubled_area,
     lattice_point_count,
     lattice_points,
-    sub,
+    polygon_from_cycle,
 )
 from .minimal import is_minimal
 from .width import _reduced_basis, sort_directions
@@ -192,15 +192,9 @@ def is_inscribed_in_hexagon(p: Polygon, d: int, l: int) -> bool:
     h = hexagon(d, l)
     if not contains_polygon(h, p):
         return False
-    pts = p.vertices
-    for a, b in h.edges():
-        e = sub(b, a)
-        if not any(
-            cross(e, sub(q, a)) == 0
-            and min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1])
-            for q in pts
-        ):
+    for side in h.edges():
+        segment = Polygon(tuple(sorted(side)))
+        if not any(contains_point(segment, q) for q in p.vertices):
             return False
     return True
 
@@ -401,8 +395,7 @@ def iter_convex_polygons(d: int) -> Iterator[Polygon]:
                                         cycle.append((x, y))
                                         x += ex
                                         y += ey
-                                    pivot = cycle.index(min(cycle))
-                                    yield Polygon(tuple(cycle[pivot:] + cycle[:pivot]))
+                                    yield polygon_from_cycle(cycle)
 
 
 def iter_full_width_polygons(d: int) -> Iterator[Polygon]:

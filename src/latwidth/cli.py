@@ -10,19 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
-from .bounds import verify_point_bound, verify_volume_bound
-from .canonical import are_equivalent
+from .bounds import verify_width
 from .classify import (
     BRUTE_FORCE_LIMIT,
     brute_force_minimal,
     classify_polygon,
     enumerate_minimal_with_stats,
-    four_direction_quadrangle,
-    generate,
-    is_inscribed_in_hexagon,
 )
-from .core import OutOfRange, Polygon, UnimodularMap, apply_map, convex_hull, polygon_from_json
+from .core import OutOfRange, Polygon, UnimodularMap, polygon_from_json
 from .minimal import is_minimal
 from .svg import render_figure
 from .width import lattice_size_square, lattice_width
@@ -180,72 +177,6 @@ def cmd_enumerate(args) -> int:
     return 0 if not diff["missing_from_enumerator"] and not diff["extra_in_enumerator"] else 1
 
 
-def _verify_one(d: int, use_oracle: bool, lines: list[str], reports: list[dict]) -> bool:
-    ok = True
-    classes, _ = enumerate_minimal_with_stats(d)
-
-    def record(name: str, passed: bool, detail: str) -> None:
-        nonlocal ok
-        ok = ok and passed
-        lines.append(f"d={d} {name} {'PASS' if passed else 'FAIL'} {detail}")
-
-    if d >= 1:
-        rep = verify_volume_bound(d, classes)
-        passed = rep.holds and rep.achieved == rep.bound_value
-        record("volume-bound", passed, f"bound={rep.bound_value} achieved={rep.achieved}")
-        reports.append({"kind": "volume-bound", "d": d, "bound_value": rep.bound_value,
-                        "achieved": rep.achieved, "witnesses": list(rep.witnesses),
-                        "holds": rep.holds})
-    else:
-        lines.append(f"d={d} volume-bound not-applicable")
-    if d >= 2:
-        rep = verify_point_bound(d, classes)
-        passed = rep.holds and rep.achieved == rep.bound_value
-        record("point-bound", passed, f"bound={rep.bound_value} achieved={rep.achieved}")
-        reports.append({"kind": "point-bound", "d": d, "bound_value": rep.bound_value,
-                        "achieved": rep.achieved, "witnesses": list(rep.witnesses),
-                        "holds": rep.holds})
-    else:
-        lines.append(f"d={d} point-bound not-applicable")
-
-    if d >= 1:
-        good = True
-        for c in classes:
-            p = convex_hull(c.canonical.vertices)
-            size = lattice_size_square(p)
-            q = apply_map(size.witness, p)
-            if size.size != d or not all(0 <= x <= d and 0 <= y <= d for x, y in q.vertices):
-                good = False
-                break
-        record("lattice-size-equals-width", good, f"classes={len(classes)}")
-
-        if d % 2 == 0 and d >= 2:
-            quad = four_direction_quadrangle(d)
-            good = len(lattice_width(quad).directions) == 4
-            for c in classes:
-                p = convex_hull(c.canonical.vertices)
-                if len(lattice_width(p).directions) >= 4:
-                    good = good and are_equivalent(p, quad) is not None
-            record("four-direction-rigidity", good, "")
-
-        hex_classes = [c for c in classes if "l" in c.params.as_dict()]
-        good = all(
-            is_inscribed_in_hexagon(generate(c.params), d, c.params["l"])
-            for c in hex_classes
-        )
-        record("hexagon-inscription", good, f"classes={len(hex_classes)}")
-
-    if use_oracle:
-        oracle_keys = {c.key for c in brute_force_minimal(d)}
-        keys = {c.key for c in classes}
-        record(
-            "oracle-equivalence",
-            keys == oracle_keys,
-            f"classes={len(keys)} oracle={len(oracle_keys)}",
-        )
-    return ok
-
-
 def cmd_verify(args) -> int:
     d_min = _check_d(args.d_min)
     d_max = _check_d(args.d_max if args.d_max is not None else args.d_min)
@@ -257,11 +188,17 @@ def cmd_verify(args) -> int:
     reports: list[dict] = []
     ok = True
     for d in range(d_min, d_max + 1):
-        ok = _verify_one(d, args.oracle, lines, reports) and ok
+        for name, passed, detail, report in verify_width(d, args.oracle):
+            if passed is None:
+                lines.append(f"d={d} {name} not-applicable")
+                continue
+            lines.append(f"d={d} {name} {'PASS' if passed else 'FAIL'} {detail}")
+            ok = ok and passed
+            if report is not None:
+                reports.append({"kind": name, **asdict(report)})
     sys.stdout.write("\n".join(lines) + "\n")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(reports, indent=2) + "\n")
+        _emit(json.dumps(reports, indent=2), args.output)
     return 0 if ok else 1
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Vec = tuple[int, int]
 
@@ -62,6 +62,18 @@ def sub(a: Vec, b: Vec) -> Vec:
     return (a[0] - b[0], a[1] - b[1])
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
 @dataclass(frozen=True)
 class Polygon:
     """Convex lattice polygon as a counterclockwise vertex cycle.
@@ -84,6 +96,14 @@ class Polygon:
         if n == 1:
             return []
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
+
+
+def polygon_from_cycle(cycle: Sequence[Vec]) -> Polygon:
+    """The Polygon of a counterclockwise cycle of extreme points, rotated to
+    start at its smallest vertex; the cycle is trusted as it is."""
+    vs = tuple(cycle)
+    k = vs.index(min(vs))
+    return Polygon(vs[k:] + vs[:k])
 
 
 def convex_hull(points: Iterable[Vec]) -> Polygon:
@@ -286,7 +306,8 @@ def polygon_from_json(text: str) -> Polygon:
         raise ValueError('"vertices" must be a non-empty list of [x, y] pairs')
     pts = []
     for entry in raw:
-        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(c, int) for c in entry)):
+        # type(c) is int: JSON true/false load as bool, a subclass of int
+        if not (isinstance(entry, list) and len(entry) == 2 and all(type(c) is int for c in entry)):
             raise ValueError(f"bad vertex entry: {entry!r}")
         pts.append((entry[0], entry[1]))
     return convex_hull(pts)

@@ -17,6 +17,7 @@ from .core import (
     Vec,
     convex_hull,
     lattice_points,
+    polygon_from_cycle,
 )
 from .width import (
     _directions_within,
@@ -58,8 +59,7 @@ def drop_vertex(p: Polygon, vertex: Vec) -> Polygon:
     else:
         # three consecutive vertices of the cycle: counterclockwise and not
         # collinear, so only the rotation to the smallest vertex is missing
-        k = corner.index(min(corner))
-        triangle = Polygon(corner[k:] + corner[:k])
+        triangle = polygon_from_cycle(corner)
     return convex_hull((lattice_points(triangle) | set(vs)) - {vertex})
 
 

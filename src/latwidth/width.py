@@ -27,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
-from typing import Optional
 
 from .core import (
     Polygon,
     UnimodularMap,
     Vec,
     ZeroVector,
+    _xgcd,
     cross,
     dot,
     make_primitive,
@@ -209,18 +209,6 @@ def lattice_width(p: Polygon) -> WidthResult:
     return WidthResult(width, sort_directions(_directions_within(p, basis, width)))
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def _witness_from_rows(p: Polygon, v: Vec, w: Vec) -> UnimodularMap:
     # rows v, w become the new coordinate functionals; shift minima to 0
     mx = min(dot(vertex, v) for vertex in p.vertices)
@@ -259,10 +247,3 @@ def lattice_size_square(p: Polygon) -> SizeResult:
                 return SizeResult(size, _witness_from_rows(p, v, w))
     raise AssertionError("unreachable: the reduced basis has both widths at most lambda2")
 
-
-def embed_in_square(p: Polygon) -> Optional[UnimodularMap]:
-    """A unimodular map taking p into [0, d]^2 for d = lattice width, or None
-    when the lattice size exceeds the width."""
-    d = lattice_width(p).width
-    result = lattice_size_square(p)
-    return result.witness if result.size == d else None

@@ -17,7 +17,6 @@ from latwidth import (
     convex_hull,
     doubled_area,
     doubled_volume_bound,
-    embed_in_square,
     enumerate_minimal,
     four_direction_quadrangle,
     generate,
@@ -81,11 +80,11 @@ def test_criterion_02_oracle_equivalence():
         assert time.time() - start < 300.0
 
 
-def test_criterion_03_lattice_point_bound(classes_by_width):
+def test_criterion_03_lattice_point_bound():
     with criterion(3, "lattice point bound d=2..8"):
         start = time.time()
         for d in range(2, D_MAX + 1):
-            rep = verify_point_bound(d, classes_by_width[d])
+            rep = verify_point_bound(d)
             assert rep.holds
             assert rep.achieved == rep.bound_value == point_bound(d)
             simplex = canonical_form(
@@ -98,15 +97,15 @@ def test_criterion_03_lattice_point_bound(classes_by_width):
                 assert simplex in rep.witnesses
             else:
                 assert quad in rep.witnesses
-        assert verify_point_bound(5, classes_by_width[5]).achieved == 21
-        assert verify_point_bound(6, classes_by_width[6]).achieved == 29
+        assert verify_point_bound(5).achieved == 21
+        assert verify_point_bound(6).achieved == 29
         assert time.time() - start < 600.0
 
 
-def test_criterion_04_volume_bound(classes_by_width):
+def test_criterion_04_volume_bound():
     with criterion(4, "volume bound d=1..8"):
         for d in range(1, D_MAX + 1):
-            rep = verify_volume_bound(d, classes_by_width[d])
+            rep = verify_volume_bound(d)
             assert rep.holds
             expected = 3 * d * d // 4 if d % 2 == 0 else (3 * d * d + 1) // 4
             assert rep.achieved == rep.bound_value == doubled_volume_bound(d) == expected
@@ -125,10 +124,9 @@ def test_criterion_05_size_equals_width(classes_by_width):
         for d in range(1, D_MAX + 1):
             for cls in classes_by_width[d]:
                 p = rebuild(cls)
-                assert lattice_size_square(p).size == d, cls.key
-                m = embed_in_square(p)
-                assert m is not None, cls.key
-                image = apply_map(m, p)
+                size = lattice_size_square(p)
+                assert size.size == d, cls.key
+                image = apply_map(size.witness, p)
                 assert all(0 <= x <= d and 0 <= y <= d for x, y in image.vertices)
 
 

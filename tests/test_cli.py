@@ -188,6 +188,25 @@ def test_verify_writes_reports(capsys, tmp_path):
     assert all(entry["holds"] for entry in data)
 
 
+# sha256 of `latwidth verify` output, recorded before the checks moved from the
+# CLI into the library; the check names, order, details and reports must not move
+VERIFY_0_8_STDOUT_SHA256 = "faf28168a3123add3fd0c60e944f27c10bcab5ec588bdbafa1dbb6b7087bfb5f"
+VERIFY_0_8_REPORTS_SHA256 = "f59ec963dc96bf71fe516732779294aa708fff1417fb1da158d74bcce15af842"
+VERIFY_1_4_ORACLE_STDOUT_SHA256 = "c9c7eb60237e81a708f38f8104ab1506a1bd3775c551af865113a82674779fbc"
+
+
+def test_verify_output_bytes_are_pinned(capsys, tmp_path):
+    report = tmp_path / "reports.json"
+    code, out, _ = run(capsys, "verify", "0", "8", "-o", str(report))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_0_8_STDOUT_SHA256
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_0_8_REPORTS_SHA256
+
+    code, out, _ = run(capsys, "verify", "1", "4", "--oracle")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_1_4_ORACLE_STDOUT_SHA256
+
+
 def test_plot_command(capsys, tmp_path):
     simplex = write_polygon(tmp_path / "t.json", [[0, 0], [3, 0], [0, 3]])
     code, out, _ = run(capsys, "plot", simplex)
@@ -221,6 +240,10 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     huge = write_polygon(tmp_path / "huge.json", [[0, 0], [2_000_000, 1]])
     code, _, err = run(capsys, "width", huge)
     assert code == 2 and "magnitude" in err
+
+    booleans = write_polygon(tmp_path / "bool.json", [[True, False], [0, 3], [3, 0]])
+    code, out, err = run(capsys, "width", booleans)
+    assert code == 2 and out == "" and "bad vertex entry" in err
 
 
 def test_oracle_needs_small_width(capsys):

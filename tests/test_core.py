@@ -21,6 +21,7 @@ from latwidth import (
     polygon_from_json,
     polygon_to_json,
 )
+from latwidth.core import polygon_from_cycle
 from conftest import (
     naive_lattice_points,
     random_hull,
@@ -71,6 +72,13 @@ def test_hull_starts_at_lexicographic_minimum(rng):
     for _ in range(200):
         p = random_polygon(rng)
         assert p.vertices[0] == min(p.vertices)
+
+
+def test_polygon_from_cycle_matches_the_hull(rng):
+    for _ in range(200):
+        p = random_polygon(rng, span=6, points=5)
+        k = rng.randrange(len(p.vertices))
+        assert polygon_from_cycle(p.vertices[k:] + p.vertices[:k]) == p
 
 
 def test_hull_idempotence(rng):
@@ -182,6 +190,8 @@ def test_polygon_json_roundtrip():
         '{"vertices": [[0]]}',
         '{"vertices": [[0, 0.5]]}',
         '{"points": [[0, 0]]}',
+        # JSON booleans are ints to Python, but not coordinates
+        '{"vertices": [[true, false], [0, 3], [3, 0]]}',
     ],
 )
 def test_polygon_json_rejects_malformed(text):

@@ -3,7 +3,6 @@ from latwidth import (
     apply_map,
     convex_hull,
     drop_vertex,
-    embed_in_square,
     four_direction_quadrangle,
     invert_map,
     iter_full_width_polygons,
@@ -13,8 +12,8 @@ from latwidth import (
     upsilon,
     width_in_direction,
 )
-from latwidth.core import cross, dot
-from latwidth.width import _directions_within, _reduced_basis, _xgcd
+from latwidth.core import _xgcd, cross, dot
+from latwidth.width import _directions_within, _reduced_basis
 from conftest import (
     naive_lattice_width,
     random_hull,
@@ -113,6 +112,10 @@ def test_lattice_size_examples():
     assert lattice_size_square(upsilon(3)).size == 3
     assert lattice_size_square(convex_hull([(0, 0), (5, 0)])).size == 5
     assert lattice_size_square(convex_hull([(2, 9)])).size == 0
+    # width 1 but lattice size 5: no placement in the unit-width square
+    thin = convex_hull([(0, 0), (5, 0), (0, 1)])
+    assert lattice_width(thin).width == 1
+    assert lattice_size_square(thin).size == 5
 
 
 def test_lattice_size_witness_is_valid(rng):
@@ -137,27 +140,6 @@ def test_size_equals_width_given_two_directions(rng):
         if len(res.directions) >= 2:
             hits += 1
             assert lattice_size_square(p).size == res.width
-
-
-def test_embed_in_square_examples():
-    tri = convex_hull([(0, 0), (3, 0), (0, 3)])
-    m = embed_in_square(tri)
-    assert m is not None
-    image = apply_map(m, tri)
-    assert all(0 <= x <= 3 and 0 <= y <= 3 for x, y in image.vertices)
-
-    # width 1 but lattice size 5: no placement in the unit-width square
-    thin = convex_hull([(0, 0), (5, 0), (0, 1)])
-    assert lattice_width(thin).width == 1
-    assert embed_in_square(thin) is None
-
-
-def test_embed_round_trip(rng):
-    for _ in range(100):
-        p = random_polygon(rng, span=5, points=4)
-        m = embed_in_square(p)
-        if m is not None:
-            assert apply_map(invert_map(m), apply_map(m, p)) == p
 
 
 def test_direction_output_is_angle_sorted():
