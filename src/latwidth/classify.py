@@ -32,7 +32,7 @@ from .core import (
     lattice_points,
     polygon_from_cycle,
 )
-from .minimal import is_minimal
+from .minimal import MinimalityReport, is_minimal
 from .width import _reduced_basis, sort_directions
 
 # field names of each family, sorted; T3..T5 lead with the shoulder l
@@ -433,10 +433,16 @@ def brute_force_minimal(d: int) -> list[MinimalClass]:
 # --- recognition ---------------------------------------------------------------
 
 
-def classify_polygon(p: Polygon) -> Optional[tuple[MinimalClass, UnimodularMap]]:
+def classify_polygon(
+    p: Polygon, report: Optional[MinimalityReport] = None
+) -> Optional[tuple[MinimalClass, UnimodularMap]]:
     """Recognize a minimal polygon: its class plus the witness map onto the
-    class representative.  Returns None for non-minimal polygons."""
-    report = is_minimal(p)
+    class representative.  Returns None for non-minimal polygons.
+
+    ``report`` is p's ``is_minimal`` report when the caller already has it;
+    without one the test runs here."""
+    if report is None:
+        report = is_minimal(p)
     if not report.is_minimal:
         return None
     form, to_canonical = _canonical_with_map(p)

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from .bounds import verify_width
 from .classify import (
@@ -134,7 +135,7 @@ def cmd_classify(args) -> int:
         )
         return 0
     _check_d(rep.width)
-    cls, witness = classify_polygon(p)
+    cls, witness = classify_polygon(p, rep)
     _emit(
         json.dumps(
             {
@@ -212,7 +213,12 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``main`` call of the process.  Parsing never changes it: each
+    call gets a fresh Namespace, and argparse looks up the output streams
+    and the terminal width only when it prints."""
     parser = argparse.ArgumentParser(
         prog="latwidth",
         description="Exact lattice-width computations and minimal-polygon classification.",

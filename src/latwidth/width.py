@@ -18,8 +18,8 @@ lambda1 is at most b is a comparison of N(b1) with b; for a polygon inside
 p, such as p with a vertex deleted, the reduction starts from p's reduced
 basis and needs few rounds.  The directions of width at most b are the
 a*b1 + c*b2 with 0 <= c <= 2b/lambda2 and |a| <= (b + c*lambda2)/lambda1,
-so ``_directions_within`` lists them by walking that range, whatever the
-size of p's coordinates.
+and along each c they form one interval of a, so ``_directions_within``
+finds its ends by binary search, whatever the size of p's coordinates.
 """
 
 from __future__ import annotations
@@ -102,20 +102,23 @@ def _best_step(p: Polygon, b1: Vec, n1: int, b2: Vec, n2: int) -> int:
 
     f is convex, and f(mu) >= |mu|*n1 - n2 by the triangle inequality, so
     every minimizer has |mu| <= 2*n2/n1.  When neither neighbour beats
-    f(0) = n2, 0 is a minimizer after two evaluations; otherwise a binary
-    search on the sign of f(mu + 1) - f(mu), nondecreasing in mu, finds the
-    smallest minimizer on the improving side of that bracket.
+    f(0) = n2, 0 is a minimizer after two evaluations; otherwise
+    ``_smallest_minimizer`` searches the improving side of that bracket.
     """
 
     def f(mu: int) -> int:
         return width_in_direction(p, (b2[0] - mu * b1[0], b2[1] - mu * b1[1]))
 
     if f(1) < n2:
-        lo, hi = 1, 2 * n2 // n1
-    elif f(-1) < n2:
-        lo, hi = -(2 * n2 // n1), -1
-    else:
-        return 0
+        return _smallest_minimizer(f, 1, 2 * n2 // n1)
+    if f(-1) < n2:
+        return _smallest_minimizer(f, -(2 * n2 // n1), -1)
+    return 0
+
+
+def _smallest_minimizer(f, lo: int, hi: int) -> int:
+    """The smallest minimizer of a convex integer function f on [lo, hi]:
+    a binary search on the sign of f(x + 1) - f(x), nondecreasing in x."""
     while lo < hi:
         mid = (lo + hi) // 2
         if f(mid + 1) >= f(mid):
@@ -123,6 +126,28 @@ def _best_step(p: Polygon, b1: Vec, n1: int, b2: Vec, n2: int) -> int:
         else:
             lo = mid + 1
     return lo
+
+
+def _last_within(f, a: int, hi: int, bound: int) -> int:
+    """The largest x in [a, hi] with f(x) <= bound, for f nondecreasing on
+    [a, hi] and f(a) <= bound.
+
+    Steps of doubling length from a bracket the answer between the last
+    point within the bound and the first beyond it (or hi + 1), and a
+    binary search closes the bracket: O(log(x - a)) evaluations of f.
+    """
+    step = 1
+    while a + step <= hi and f(a + step) <= bound:
+        a += step
+        step *= 2
+    beyond = min(a + step, hi + 1)
+    while beyond - a > 1:
+        mid = (a + beyond) // 2
+        if f(mid) <= bound:
+            a = mid
+        else:
+            beyond = mid
+    return a
 
 
 def _reduced_basis(
@@ -172,17 +197,39 @@ def _directions_within(
     c = 1, N(v) >= n2 directly), so N(v) <= bound needs c <= 2*bound/n2,
     and c = 1 needs n2 <= bound.  The triangle inequality on
     a*b1 = v - c*b2 gives |a|*n1 <= N(v) + c*n2 <= bound + c*n2, which
-    bounds a.  Only primitive candidates, gcd(a, c) = 1, are evaluated.
+    bounds a.
+
+    Along a row c, f(a) = N(a*b1 + c*b2) is convex, so the a with
+    f(a) <= bound form one interval around any minimizer m of f.  As
+    N(b2) <= N(b2 + k*b1) for every integer k, m = 0 for c = 1, and the
+    convex t -> N(b2 + t*b1) has a real minimizer in [-1, 1], so
+    f = c*N(b2 + (a/c)*b1) has an integer minimizer in [-c, c], where a
+    binary search finds it.  ``_last_within`` then finds each end of the
+    interval inside the bracket |a| <= reach with O(log reach) evaluations
+    of N, and the primitive candidates between the ends, gcd(a, c) = 1,
+    are listed without evaluating N.
     """
     b1, n1, b2, n2 = basis
     found = [normalize_sign(b1)] if n1 <= bound else []
     for c in range(1 if n2 <= bound else 2, 2 * bound // n2 + 1):
+        values: dict[int, int] = {}  # the searches below revisit points
+
+        def f(a: int) -> int:
+            if a not in values:
+                values[a] = width_in_direction(p, (a * b1[0] + c * b2[0], a * b1[1] + c * b2[1]))
+            return values[a]
+
         reach = (bound + c * n2) // n1
-        for a in range(-reach, reach + 1):
-            if gcd(a, c) == 1:
-                v = (a * b1[0] + c * b2[0], a * b1[1] + c * b2[1])
-                if width_in_direction(p, v) <= bound:
-                    found.append(normalize_sign(v))
+        m = 0 if c == 1 else _smallest_minimizer(f, -c, c)
+        if f(m) > bound:
+            continue
+        first = -_last_within(lambda a: f(-a), -m, reach, bound)
+        last = _last_within(f, m, reach, bound)
+        found.extend(
+            normalize_sign((a * b1[0] + c * b2[0], a * b1[1] + c * b2[1]))
+            for a in range(first, last + 1)
+            if gcd(a, c) == 1
+        )
     return sorted(found, key=lambda v: (abs(v[0]), abs(v[1]), v))
 
 

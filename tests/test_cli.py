@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import latwidth.cli as cli
+import latwidth.classify as classify_module
 from latwidth.cli import main
+from latwidth.minimal import MinimalityReport, is_minimal
 
 
 def write_polygon(path, vertices):
@@ -55,15 +59,20 @@ def test_lattice_size_command(capsys, tmp_path):
     assert set(data["witness"]) == {"a", "b"}
 
 
-def _run_cli_process(*argv):
+def _cli_process(*argv):
     # a separate interpreter, so a runaway computation ends at the timeout
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "latwidth.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=30, check=True,
+        capture_output=True, text=True, env=env, timeout=30,
     )
+
+
+def _run_cli_process(*argv):
+    done = _cli_process(*argv)
+    assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
 
@@ -262,3 +271,88 @@ def test_round_trip_canonical_cycle(capsys, tmp_path):
     f = write_polygon(tmp_path / "p.json", [[2, 1], [0, 0], [1, 2], [1, 1], [0, 0]])
     code, out, _ = run(capsys, "width", f)
     assert code == 0  # reader hulls arbitrary lists, duplicates included
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(capsys, monkeypatch, tmp_path, ups1_file):
+    # every call of one process sequence gives the exit code and bytes of
+    # the same call made first in a fresh interpreter, output file included
+    monkeypatch.setenv("COLUMNS", "80")  # the help width of a fresh process with piped output
+    square = write_polygon(tmp_path / "sq.json", [[0, 0], [1, 0], [1, 1], [0, 1]])
+    calls = [
+        ["enumerate"],
+        ["width", ups1_file, "-o", "{out}"],
+        ["width", square],
+        ["minimal", square],
+        ["classify", ups1_file],
+        ["classify", square],
+        ["width", "--help"],
+    ]
+    for i, call in enumerate(calls):
+        here = [a.format(out=tmp_path / f"in-process-{i}.json") for a in call]
+        there = [a.format(out=tmp_path / f"fresh-{i}.json") for a in call]
+        code, out, err = run(capsys, *here)
+        fresh = _cli_process(*there)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), call
+        if "-o" in call:
+            assert out == ""
+            assert (tmp_path / f"in-process-{i}.json").read_bytes() == (
+                tmp_path / f"fresh-{i}.json"
+            ).read_bytes()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, ups1_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.__wrapped__()
+    one_tree = len(built)
+    assert one_tree > 1  # the top-level parser and one per subcommand
+
+    built.clear()
+    cli.build_parser.cache_clear()
+    for argv in (["width", ups1_file], ["minimal", ups1_file], ["enumerate"], ["width", ups1_file]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == one_tree
+
+
+def test_classify_tests_minimality_once(capsys, monkeypatch, tmp_path, ups1_file):
+    classify_module.enumerate_minimal(2)  # the table's enumeration tests minimality too
+    square = write_polygon(tmp_path / "sq.json", [[0, 0], [1, 0], [1, 1], [0, 1]])
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return is_minimal(p)
+
+    # wrap the name in every latwidth module that binds it, as the
+    # benchmark's tracer does
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "latwidth":
+            for attr, value in list(vars(module).items()):
+                if value is is_minimal:
+                    monkeypatch.setattr(module, attr, counting)
+    assert main(["classify", ups1_file]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["classify", square]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["minimal"] is False
+
+
+def test_classify_rejects_too_wide_before_building_a_class_table(capsys, monkeypatch, ups1_file):
+    # a stubbed report stands in for a minimal polygon of width 1001, whose
+    # real minimality test takes seconds
+    monkeypatch.setattr(cli, "is_minimal", lambda p: MinimalityReport(True, None, 1001))
+
+    def no_table(d):
+        raise AssertionError(f"class table of width {d} requested")
+
+    monkeypatch.setattr(classify_module, "_class_table", no_table)
+    code, out, err = run(capsys, "classify", ups1_file)
+    assert code == 2 and out == "" and "width parameter" in err

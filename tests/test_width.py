@@ -200,6 +200,31 @@ def test_listing_matches_the_region_scan(rng):
             assert _directions_within(p, basis, bound) == expected, (p.vertices, bound)
 
 
+def test_listing_bisects_each_row(monkeypatch):
+    # conv{(0,0),(10^4,0),(0,1)} has lambda2 = 10^4 and the 10^4 + 2
+    # directions (0,1) and (1,y), 0 <= y <= 10^4, of width at most that; a
+    # walk of the rows c = 1, 2 over their whole |a| bracket evaluates N
+    # about 7*10^4 times, bisection O(log reach) times per row
+    import latwidth.width as width_module
+
+    p = convex_hull([(0, 0), (10**4, 0), (0, 1)])
+    basis = _reduced_basis(p)
+    bound = basis[3]
+    assert bound == 10**4
+    calls = []
+
+    def counting(q, v):
+        calls.append(v)
+        return width_in_direction(q, v)
+
+    monkeypatch.setattr(width_module, "width_in_direction", counting)
+    found = _directions_within(p, basis, bound)
+    assert found == [(0, 1), (1, 0)] + [(1, y) for y in range(1, 10**4 + 1)]
+    rows = 2 * bound // basis[3]
+    reach = (bound + rows * basis[3]) // basis[1]
+    assert len(calls) <= rows * (4 * (2 * reach + 1).bit_length() + 1)
+
+
 def test_reduction_from_any_start_basis(rng):
     # the successive minima do not depend on the basis the reduction starts
     # from, whether a random one or that of a polygon containing the input
