@@ -169,9 +169,25 @@ def _check_ranges(params: TypeParams) -> None:
 
 
 def generate(params: TypeParams) -> Polygon:
-    """The literal convex hull of the family formula for these parameters."""
+    """The convex hull of the family formula for these parameters.
+
+    The formula points are already in counterclockwise convex position: T1
+    is (0,0), (d,y), (x,d) with x + y <= d, and every other family lists
+    one point per side of the square or of the hexagon (d, l), in the
+    sides' counterclockwise order (T2 on the open sides of the square).
+    So the hull is the cycle itself without repeated points and straight
+    corners, and no sort is needed.  When fewer than three corners remain,
+    the hull is a point or a segment and is taken directly."""
     _check_ranges(params)
-    return convex_hull(_family_points(params))
+    points = _family_points(params)
+    cycle = [q for q, r in zip(points, points[1:] + points[:1]) if q != r]
+    corners = []
+    for (ax, ay), (bx, by), (cx, cy) in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1]):
+        if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) > 0:
+            corners.append((bx, by))
+    if len(corners) < 3:
+        return convex_hull(points)
+    return polygon_from_cycle(corners)
 
 
 def hexagon(d: int, l: int) -> Polygon:

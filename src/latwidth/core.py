@@ -119,9 +119,14 @@ def convex_hull(points: Iterable[Vec]) -> Polygon:
         return Polygon((pts[0],))
 
     def chain(seq):
+        # cross(b - a, p - a) <= 0 for the last two points a, b, written out
         out = []
         for p in seq:
-            while len(out) > 1 and cross(sub(out[-1], out[-2]), sub(p, out[-2])) <= 0:
+            px, py = p
+            while len(out) > 1:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out

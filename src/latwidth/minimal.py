@@ -47,20 +47,36 @@ def drop_vertex(p: Polygon, vertex: Vec) -> Polygon:
     T, and the result is the hull of the remaining vertices plus the
     lattice points of T other than the vertex.  Only T is enumerated, never
     the whole of p.
+
+    Only the points of T are hulled.  Their hull S, the "sail", lies in T and
+    has the edge prev--next, so its counterclockwise arc from prev to next
+    is the part of the boundary on the vertex's side of the diagonal.  For
+    a triangle p, S is the result.  Otherwise the result is the untouched
+    vertices next, ..., prev followed by that arc: at prev the arc leaves
+    inside the cone of T, which turns strictly left of the edge into prev
+    (next lies strictly left of that edge line), and likewise at next, so
+    the spliced cycle is convex with no straight corner.
     """
     vs = p.vertices
     if vertex not in vs:
         raise NotAVertex(f"{vertex} is not a vertex of the polygon")
+    n = len(vs)
     i = vs.index(vertex)
-    corner = (vs[i - 1], vertex, vs[(i + 1) % len(vs)])
-    if len(vs) < 3:
+    prev, nxt = vs[i - 1], vs[(i + 1) % n]
+    if n < 3:
         # a point or a segment: the neighbours coincide
-        triangle = convex_hull(corner)
-    else:
-        # three consecutive vertices of the cycle: counterclockwise and not
-        # collinear, so only the rotation to the smallest vertex is missing
-        triangle = polygon_from_cycle(corner)
-    return convex_hull((lattice_points(triangle) | set(vs)) - {vertex})
+        triangle = convex_hull((prev, vertex, nxt))
+        return convex_hull((lattice_points(triangle) | set(vs)) - {vertex})
+    # three consecutive vertices of the cycle: counterclockwise and not
+    # collinear, so only the rotation to the smallest vertex is missing
+    triangle = polygon_from_cycle((prev, vertex, nxt))
+    sail = convex_hull(lattice_points(triangle) - {vertex})
+    if n == 3:
+        return sail
+    s = sail.vertices
+    k = s.index(prev)
+    s = s[k:] + s[:k]
+    return polygon_from_cycle(vs[i + 1:] + vs[:i] + s[1:s.index(nxt)])
 
 
 def is_minimal(p: Polygon) -> MinimalityReport:

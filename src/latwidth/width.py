@@ -25,7 +25,7 @@ finds its ends by binary search, whatever the size of p's coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from math import gcd
 
 from .core import (
@@ -185,6 +185,14 @@ def _reduced_basis(
         b1, n1, b2, n2 = b2, n2, b1, n1
 
 
+@lru_cache(maxsize=1)
+def _standard_reduction(p: Polygon) -> tuple[Vec, int, Vec, int]:
+    """``_reduced_basis(p)`` from the standard basis, kept for the last
+    polygon asked about: ``width`` asks for the width and then the size of
+    one polygon, and both read off the same basis, so it is reduced once."""
+    return _reduced_basis(p)
+
+
 def _directions_within(
     p: Polygon, basis: tuple[Vec, int, Vec, int], bound: int
 ) -> list[Vec]:
@@ -251,7 +259,7 @@ def lattice_width(p: Polygon) -> WidthResult:
     if p.dimension == 1:
         return WidthResult(0, (_segment_normal(p),))
 
-    basis = _reduced_basis(p)
+    basis = _standard_reduction(p)
     width = basis[1]
     return WidthResult(width, sort_directions(_directions_within(p, basis, width)))
 
@@ -285,7 +293,7 @@ def lattice_size_square(p: Polygon) -> SizeResult:
         _, s, t = _xgcd(e[0], e[1])
         return SizeResult(length, _witness_from_rows(p, (-e[1], e[0]), (s, t)))
 
-    basis = _reduced_basis(p)
+    basis = _standard_reduction(p)
     size = basis[3]
     candidates = _directions_within(p, basis, size)
     for v in candidates:

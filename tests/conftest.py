@@ -25,8 +25,8 @@ from latwidth import (
 )
 from math import gcd
 
-from latwidth.canonical import _MIRROR, _normalizing_map
-from latwidth.core import IDENTITY_MAP, cross, sub
+from latwidth.canonical import _MIRROR, _matrix_sending_to_x_axis
+from latwidth.core import IDENTITY_MAP, NotAVertex, cross, lattice_points, make_primitive, polygon_from_cycle, sub
 from latwidth.width import _witness_from_rows, normalize_sign, sort_directions
 
 
@@ -170,6 +170,28 @@ def region_scan_size(p: Polygon) -> SizeResult:
     raise AssertionError("the bounding-box basis always fits")
 
 
+def normalizing_map(q: Polygon, i: int, outgoing: bool) -> UnimodularMap:
+    """The unique det +1 map for vertex i of q and one incident edge: vertex
+    to (0,0), edge direction to (1,0), shear reduced against the other
+    edge, composed from a base map and a shear.  The reference for the
+    closed-form candidates of ``_canonical_with_map``."""
+    vs = q.vertices
+    n = len(vs)
+    v = vs[i]
+    if outgoing:
+        e = make_primitive(sub(vs[(i + 1) % n], v))
+        f = make_primitive(sub(vs[(i - 1) % n], v))
+    else:
+        e = make_primitive(sub(v, vs[(i - 1) % n]))
+        f = make_primitive(sub(vs[(i + 1) % n], v))
+    base = _matrix_sending_to_x_axis(e)
+    a0, b0 = base.apply(f)
+    assert b0 > 0, f"{v} is not a convex counterclockwise corner"
+    m = compose_maps(UnimodularMap(1, -(a0 // b0), 0, 1), base)
+    ix, iy = m.apply(v)
+    return UnimodularMap(m.a11, m.a12, m.a21, m.a22, -ix, -iy)
+
+
 def candidate_forms(p: Polygon) -> list:
     """All 4 * vertex-count (vertex sequence, map) candidates of a
     2-dimensional polygon, each built in full, in the order mirror flag,
@@ -182,7 +204,7 @@ def candidate_forms(p: Polygon) -> list:
         n = len(q.vertices)
         for i in range(n):
             for outgoing in (True, False):
-                m = _normalizing_map(q, i, outgoing)
+                m = normalizing_map(q, i, outgoing)
                 seq = tuple(m.apply(q.vertices[(i + j) % n]) for j in range(n))
                 out.append((seq, compose_maps(m, pre)))
     return out
@@ -231,6 +253,41 @@ def naive_lattice_points(p: Polygon) -> frozenset:
         for (ax, ay), (bx, by) in zip(verts, np.roll(verts, -1, axis=0)):
             keep &= (bx - ax) * (qy - ay) - (by - ay) * (qx - ax) >= 0
     return frozenset(zip(qx[keep].tolist(), qy[keep].tolist()))
+
+
+def hull_oracle(points) -> Polygon:
+    """Monotone chain with strict turns written with ``sub`` and ``cross``;
+    the reference for the inlined chain of ``convex_hull``."""
+    pts = sorted(set((int(x), int(y)) for x, y in points))
+    if len(pts) == 1:
+        return Polygon((pts[0],))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and cross(sub(out[-1], out[-2]), sub(p, out[-2])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = chain(pts)
+    upper = chain(reversed(pts))
+    if len(lower) == 2 and len(upper) == 2:
+        return Polygon((pts[0], pts[-1]))
+    return Polygon(tuple(lower[:-1] + upper[:-1]))
+
+
+def drop_vertex_oracle(p: Polygon, vertex) -> Polygon:
+    """Hull of the other vertices of p and of the lattice points of the
+    corner triangle conv(prev, vertex, next) other than the vertex, hulled
+    together; the reference for the spliced ``drop_vertex``."""
+    vs = p.vertices
+    if vertex not in vs:
+        raise NotAVertex(vertex)
+    i = vs.index(vertex)
+    corner = (vs[i - 1], vertex, vs[(i + 1) % len(vs)])
+    triangle = convex_hull(corner) if len(vs) < 3 else polygon_from_cycle(corner)
+    return convex_hull((lattice_points(triangle) | set(vs)) - {vertex})
 
 
 def random_hull(rng: random.Random, span: int = 8) -> Polygon:

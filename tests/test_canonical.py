@@ -17,8 +17,15 @@ from latwidth import (
     translation,
     upsilon,
 )
-from latwidth.canonical import _canonical_with_map, _matrix_sending_to_x_axis
-from conftest import candidate_forms, random_large_image, random_polygon, random_unimodular
+from latwidth.canonical import _MIRROR, _candidates, _canonical_with_map, _matrix_sending_to_x_axis
+from latwidth.core import IDENTITY_MAP
+from conftest import (
+    candidate_forms,
+    normalizing_map,
+    random_large_image,
+    random_polygon,
+    random_unimodular,
+)
 
 UPS1 = convex_hull([(0, 0), (1, 2), (2, 1)])
 
@@ -123,6 +130,38 @@ def test_pruned_search_keeps_the_first_of_tied_candidates():
     ties += [four_direction_quadrangle(d) for d in range(2, 11, 2)]
     ties += [hexagon(d, l) for d in range(1, 9) for l in range(d + 1)]
     _assert_pruned_search_matches_oracle(ties)
+
+
+def _assert_closed_form_matches_the_maps(polygons):
+    # every candidate: both orientations, every vertex, outgoing and then
+    # incoming edge, against the map built from a base and a shear
+    for p in polygons:
+        for pre in (IDENTITY_MAP, _MIRROR):
+            q = apply_map(pre, p)
+            n = len(q.vertices)
+            found = _candidates(q)
+            assert len(found) == 2 * n
+            for c, (second, matrix) in enumerate(found):
+                i, outgoing = c // 2, c % 2 == 0
+                m = normalizing_map(q, i, outgoing)
+                assert second == m.apply(q.vertices[(i + 1) % n]), (q.vertices, i, outgoing)
+                assert matrix == (m.a11, m.a12, m.a21, m.a22), (q.vertices, i, outgoing)
+
+
+def test_closed_form_candidates_on_the_brute_force_universe():
+    _assert_closed_form_matches_the_maps(
+        p for d in range(1, 5) for p in iter_full_width_polygons(d)
+    )
+
+
+def test_closed_form_candidates_on_the_width_8_tuples():
+    _assert_closed_form_matches_the_maps(generate(t) for t in iter_type_params(8))
+
+
+def test_closed_form_candidates_on_large_images(rng):
+    _assert_closed_form_matches_the_maps(
+        random_large_image(rng, random_polygon(rng, span=5)) for _ in range(300)
+    )
 
 
 def test_byte_key_format():

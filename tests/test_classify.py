@@ -24,7 +24,7 @@ from latwidth import (
     lattice_width,
     upsilon,
 )
-from latwidth.classify import TAGS
+from latwidth.classify import TAGS, _family_points
 from conftest import enumerate_minimal_oracle, naive_lattice_points, random_unimodular
 
 # class counts fixed by the brute-force oracle ahead of the enumerator build
@@ -59,6 +59,18 @@ FIELD_BOUNDARIES_D6 = {
         "z2": (1, 1, 3),
     },
 }
+
+
+def test_generate_matches_the_hull_of_the_formula_points():
+    # generate keeps the formula's cycle instead of hulling it; the hull is
+    # the reference on every in-range tuple up to d = 12, from the single
+    # point at d = 0 on
+    count = 0
+    for d in range(13):
+        for t in iter_type_params(d):
+            count += 1
+            assert generate(t) == convex_hull(_family_points(t)), t
+    assert count == 168326
 
 
 def test_generate_range_checks():

@@ -51,6 +51,22 @@ def test_width_of_point_and_simplex(capsys, tmp_path):
     assert data["lw"] == 1 and data["ls_square"] == 1
 
 
+def test_width_reduces_the_polygon_once(capsys, monkeypatch, ups1_file):
+    import latwidth.width as width_module
+
+    calls = []
+    reduce = width_module._reduced_basis
+
+    def counting(p, *args):
+        calls.append(p)
+        return reduce(p, *args)
+
+    monkeypatch.setattr(width_module, "_reduced_basis", counting)
+    width_module._standard_reduction.cache_clear()
+    assert run(capsys, "width", ups1_file)[0] == 0
+    assert len(calls) == 1
+
+
 def test_lattice_size_command(capsys, tmp_path):
     f = write_polygon(tmp_path / "seg.json", [[0, 0], [5, 0]])
     code, out, _ = run(capsys, "lattice-size", f)

@@ -23,6 +23,7 @@ from latwidth import (
 )
 from latwidth.core import polygon_from_cycle
 from conftest import (
+    hull_oracle,
     naive_lattice_points,
     random_hull,
     random_large_image,
@@ -61,6 +62,31 @@ def test_convex_hull_examples():
     hull = convex_hull([(0, 0), (2, 0), (0, 2), (1, 1)])
     assert hull.vertices == ((0, 0), (2, 0), (0, 2))
     assert hull.dimension == 2
+
+
+def _hull_inputs(rng):
+    # random point sets with repeated points and collinear runs, whole
+    # sets on one line, and inputs of one and two points
+    for _ in range(2000):
+        pts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 10))]
+        pts += rng.choices(pts, k=rng.randint(0, 4))
+        (x, y), dx, dy = rng.choice(pts), rng.randint(-3, 3), rng.randint(-3, 3)
+        pts += [(x + k * dx, y + k * dy) for k in range(rng.randint(0, 6))]
+        rng.shuffle(pts)
+        yield pts
+    for _ in range(300):
+        x, y, dx, dy = (rng.randint(-9, 9) for _ in range(4))
+        pts = [(x + k * dx, y + k * dy) for k in rng.choices(range(-4, 5), k=rng.randint(1, 6))]
+        yield pts
+    yield [(3, -4)]
+    yield [(3, -4), (3, -4)]
+    yield [(0, 0), (5, -2)]
+    yield [(5, -2), (0, 0), (5, -2)]
+
+
+def test_convex_hull_matches_the_sub_cross_chain(rng):
+    for pts in _hull_inputs(rng):
+        assert convex_hull(pts) == hull_oracle(pts), pts
 
 
 def test_convex_hull_empty():

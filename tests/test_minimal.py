@@ -8,7 +8,10 @@ from latwidth import (
     apply_map,
     convex_hull,
     drop_vertex,
+    generate,
     is_minimal,
+    iter_full_width_polygons,
+    iter_type_params,
     lattice_points,
     lattice_width,
     upsilon,
@@ -16,6 +19,7 @@ from latwidth import (
     width_in_direction,
 )
 from conftest import (
+    drop_vertex_oracle,
     naive_lattice_points,
     random_hull,
     random_large_image,
@@ -117,6 +121,27 @@ def test_drop_vertex_matches_the_box_scan(rng):
                     drop_vertex(p, v)
             else:
                 assert drop_vertex(p, v) == convex_hull(points - {v}), (p.vertices, v)
+
+
+def test_spliced_drop_vertex_matches_the_corner_triangle_hull(rng):
+    # every vertex of the 9,024 polygons of the d <= 4 universe, of the
+    # 4,211 width-8 tuples, and of random points, segments, triangles and
+    # quadrilaterals
+    polygons = [p for d in range(1, 5) for p in iter_full_width_polygons(d)]
+    polygons += [generate(t) for t in iter_type_params(8)]
+    shapes = {1: 0, 2: 0, 3: 0, 4: 0}
+    while min(shapes.values()) < 300:
+        p = random_hull(rng, span=6)
+        if len(p.vertices) in shapes:
+            shapes[len(p.vertices)] += 1
+            polygons.append(p)
+    for p in polygons:
+        for v in p.vertices:
+            if p.dimension == 0:
+                with pytest.raises(EmptyInput):
+                    drop_vertex(p, v)
+            else:
+                assert drop_vertex(p, v) == drop_vertex_oracle(p, v), (p.vertices, v)
 
 
 def test_minimality_report_matches_the_all_vertices_definition(rng):
