@@ -171,23 +171,21 @@ def _check_ranges(params: TypeParams) -> None:
 def generate(params: TypeParams) -> Polygon:
     """The convex hull of the family formula for these parameters.
 
-    The formula points are already in counterclockwise convex position: T1
-    is (0,0), (d,y), (x,d) with x + y <= d, and every other family lists
-    one point per side of the square or of the hexagon (d, l), in the
-    sides' counterclockwise order (T2 on the open sides of the square).
-    So the hull is the cycle itself without repeated points and straight
-    corners, and no sort is needed.  When fewer than three corners remain,
-    the hull is a point or a segment and is taken directly."""
+    For d >= 1 the formula points are already the hull's vertex cycle, so
+    only the rotation to the smallest vertex is missing.  T1 is (0,0),
+    (d,y), (x,d) with x + y <= d, a counterclockwise triangle of doubled
+    area d^2 - xy > 0.  T2 puts one point inside each side of the square
+    [0,d]^2, and T3..T5 put theirs on the hexagon (d, l), each inside a
+    side or at a corner, in the sides' counterclockwise order.  Points met
+    in that order along the boundary of a convex polygon are in convex
+    position, and three of them are collinear only on a common side, which
+    no three consecutive formula points share.  At d = 0, T1 repeats the
+    origin, and the hull is that point."""
     _check_ranges(params)
     points = _family_points(params)
-    cycle = [q for q, r in zip(points, points[1:] + points[:1]) if q != r]
-    corners = []
-    for (ax, ay), (bx, by), (cx, cy) in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1]):
-        if (bx - ax) * (cy - by) - (by - ay) * (cx - bx) > 0:
-            corners.append((bx, by))
-    if len(corners) < 3:
+    if params.d == 0:
         return convex_hull(points)
-    return polygon_from_cycle(corners)
+    return polygon_from_cycle(points)
 
 
 def hexagon(d: int, l: int) -> Polygon:
