@@ -32,6 +32,7 @@ incoming edge), which fixes the map ``classify`` prints as its witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Optional
 
@@ -58,7 +59,7 @@ class CanonicalForm:
 
     vertices: tuple[Vec, ...]
 
-    @property
+    @cached_property
     def byte_key(self) -> str:
         return ",".join(str(c) for v in self.vertices for c in v)
 

@@ -33,7 +33,7 @@ from .core import (
     polygon_from_cycle,
 )
 from .minimal import MinimalityReport, is_minimal
-from .width import _reduced_basis, sort_directions
+from .width import _standard_reduction, sort_directions
 
 # field names of each family, sorted; T3..T5 lead with the shoulder l
 _FIELD_NAMES = {
@@ -422,7 +422,7 @@ def iter_full_width_polygons(d: int) -> Iterator[Polygon]:
         return
     for p in iter_convex_polygons(d):
         # both extents are d, so the width is d unless a direction is narrower
-        if _reduced_basis(p)[1] == d:
+        if _standard_reduction(p)[1] == d:
             yield p
 
 

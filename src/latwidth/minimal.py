@@ -23,6 +23,7 @@ from .width import (
     _directions_within,
     _reduced_basis,
     _segment_normal,
+    _standard_reduction,
     width_in_direction,
 )
 
@@ -79,6 +80,32 @@ def drop_vertex(p: Polygon, vertex: Vec) -> Polygon:
     return polygon_from_cycle(vs[i + 1:] + vs[:i] + s[1:s.index(nxt)])
 
 
+def _cleared(vs: tuple[Vec, ...], basis: tuple[Vec, int, Vec, int]) -> set[Vec]:
+    """The vertices of the cycle vs at which <., u> has a strict local
+    maximum or minimum, both neighbours strictly lower or both strictly
+    higher, for a width direction u of the reduced basis (b1, d, b2, n2):
+    b1, and b2 when n2 = d."""
+    b1, d, b2, n2 = basis
+    n = len(vs)
+    found = set()
+    for ux, uy in (b1, b2) if n2 == d else (b1,):
+        h = [x * ux + y * uy for x, y in vs]
+        for i in range(n):
+            a, b, c = h[i - 1], h[i], h[(i + 1) % n]
+            if (a < b > c) or (a > b < c):
+                found.add(vs[i])
+    return found
+
+
+def _convicted(vs: tuple[Vec, ...], i: int, basis: tuple[Vec, int, Vec, int]) -> bool:
+    """Whether the cycle vs of a strictly convex polygon with at least four
+    vertices still has width >= d without its vertex i, for the polygon's
+    reduced basis (b1, d, b2, n2), where the reduction starts."""
+    b1, d, b2, _ = basis
+    rest = polygon_from_cycle(vs[:i] + vs[i + 1:])
+    return _reduced_basis(rest, (b1, b2))[1] >= d
+
+
 def is_minimal(p: Polygon) -> MinimalityReport:
     """Vertex criterion: minimal iff every vertex deletion loses width.
 
@@ -88,18 +115,40 @@ def is_minimal(p: Polygon) -> MinimalityReport:
     stops at the first offender.
 
     A remainder R = drop_vertex(p, v) lies inside p, so its width is at
-    most d = width(p), and v offends exactly when R still has width d.  A
-    point or segment remainder has width 0 < d.  For a 2-dimensional R the
-    width is N(b1) of a reduced basis of R, and the reduction starts from
-    p's reduced basis: R differs from p by one corner, so that basis is
-    nearly reduced for R and only a few rounds are needed.
+    most d = width(p), and v offends exactly when R still has width d.
+    Let (b1, b2) be p's reduced basis, with n2 = N(b2); b1 is a width
+    direction, and so is b2 when n2 = d.  Two exact certificates decide
+    most vertices before R is built:
+
+    - Cleared: if <., u> has a strict local maximum (or minimum) at v along
+      the cycle for such a width direction u, then on a convex cycle v is
+      the only point of p on that supporting line, every other lattice
+      point of p is at least 1 inside it, so R has u-width <= d - 1 and v
+      does not offend.
+    - Convicted: for four or more vertices, the cycle Q without v is
+      strictly convex, and Q is inside R, so N_Q(w) <= N_R(w) for every w;
+      if Q still has width d, so has R, and v offends.
+
+    Only a vertex that neither decides has its remainder built by
+    ``drop_vertex``.  A point or segment remainder has width 0 < d.  For a
+    2-dimensional R or Q the width is N(b1) of a reduced basis, and the
+    reduction starts from p's reduced basis: both differ from p by one
+    corner, so that basis is nearly reduced for them and only a few rounds
+    are needed.
     """
     if p.dimension == 0:
         return MinimalityReport(True, None, 0)
     if p.dimension == 1:
         return MinimalityReport(False, p.vertices[0], 0)
-    b1, d, b2, _ = _reduced_basis(p)
-    for v in sorted(p.vertices):
+    basis = _standard_reduction(p)
+    b1, d, b2, _ = basis
+    vs = p.vertices
+    cleared = _cleared(vs, basis)
+    for v in sorted(vs):
+        if v in cleared:
+            continue
+        if len(vs) > 3 and _convicted(vs, vs.index(v), basis):
+            return MinimalityReport(False, v, d)
         remainder = drop_vertex(p, v)
         if remainder.dimension == 2 and _reduced_basis(remainder, (b1, b2))[1] >= d:
             return MinimalityReport(False, v, d)

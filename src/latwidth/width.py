@@ -188,8 +188,10 @@ def _reduced_basis(
 @lru_cache(maxsize=1)
 def _standard_reduction(p: Polygon) -> tuple[Vec, int, Vec, int]:
     """``_reduced_basis(p)`` from the standard basis, kept for the last
-    polygon asked about: ``width`` asks for the width and then the size of
-    one polygon, and both read off the same basis, so it is reduced once."""
+    polygon asked about.  ``width`` asks for the width and then the size of
+    one polygon, and the brute-force search filters a polygon by its width
+    and then runs ``is_minimal`` on it; each pair reads off the same basis,
+    so the polygon is reduced once."""
     return _reduced_basis(p)
 
 

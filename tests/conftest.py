@@ -8,6 +8,7 @@ import pytest
 from latwidth import (
     EnumerationStats,
     MinimalClass,
+    MinimalityReport,
     Polygon,
     SizeResult,
     UnimodularMap,
@@ -17,6 +18,7 @@ from latwidth import (
     compose_maps,
     convex_hull,
     doubled_area,
+    drop_vertex,
     generate,
     is_minimal,
     iter_type_params,
@@ -27,7 +29,7 @@ from math import gcd
 
 from latwidth.canonical import _MIRROR, _matrix_sending_to_x_axis
 from latwidth.core import IDENTITY_MAP, NotAVertex, cross, lattice_points, make_primitive, polygon_from_cycle, sub
-from latwidth.width import _witness_from_rows, normalize_sign, sort_directions
+from latwidth.width import _reduced_basis, _witness_from_rows, normalize_sign, sort_directions
 
 
 def random_polygon(rng: random.Random, span: int = 8, points: int = 6) -> Polygon:
@@ -288,6 +290,23 @@ def drop_vertex_oracle(p: Polygon, vertex) -> Polygon:
     corner = (vs[i - 1], vertex, vs[(i + 1) % len(vs)])
     triangle = convex_hull(corner) if len(vs) < 3 else polygon_from_cycle(corner)
     return convex_hull((lattice_points(triangle) | set(vs)) - {vertex})
+
+
+def is_minimal_oracle(p: Polygon) -> MinimalityReport:
+    """The vertex criterion without certificates: every vertex, in sorted
+    order, goes through ``drop_vertex``, and its remainder is reduced from
+    p's reduced basis; the first offender is reported.  The reference for
+    the certificate-first loop of ``is_minimal``."""
+    if p.dimension == 0:
+        return MinimalityReport(True, None, 0)
+    if p.dimension == 1:
+        return MinimalityReport(False, p.vertices[0], 0)
+    b1, d, b2, _ = _reduced_basis(p)
+    for v in sorted(p.vertices):
+        remainder = drop_vertex(p, v)
+        if remainder.dimension == 2 and _reduced_basis(remainder, (b1, b2))[1] >= d:
+            return MinimalityReport(False, v, d)
+    return MinimalityReport(True, None, d)
 
 
 def random_hull(rng: random.Random, span: int = 8) -> Polygon:

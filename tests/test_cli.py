@@ -117,6 +117,21 @@ def test_width_and_size_of_the_square_at_the_coordinate_limit(tmp_path):
     _assert_witness_fits(data["witness"], vertices, n)
 
 
+def test_minimal_of_large_polygons_in_bounded_time(tmp_path):
+    # upsilon(1000): every vertex is the only point of p on a supporting
+    # line of a width direction
+    f = write_polygon(tmp_path / "upsilon.json", [[0, 0], [1, 1000], [1000, 1]])
+    assert _run_cli_process("minimal", f) == {
+        "minimal": True, "width": 1000, "offending_vertex": None,
+    }
+    # [0, 10^6]^2: the triangle left without (0, 0) keeps the width
+    n = 1_000_000
+    f = write_polygon(tmp_path / "square.json", [[0, 0], [n, 0], [n, n], [0, n]])
+    assert _run_cli_process("minimal", f) == {
+        "minimal": False, "width": n, "offending_vertex": [0, 0],
+    }
+
+
 def _assert_witness_fits(witness, vertices, size):
     (a11, a12), (a21, a22) = witness["a"]
     bx, by = witness["b"]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from latwidth import (
@@ -8,6 +10,7 @@ from latwidth import (
     apply_map,
     convex_hull,
     drop_vertex,
+    enumerate_minimal,
     generate,
     is_minimal,
     iter_full_width_polygons,
@@ -18,8 +21,11 @@ from latwidth import (
     upsilon_lemma_witness,
     width_in_direction,
 )
+from latwidth.minimal import _cleared, _convicted
+from latwidth.width import _reduced_basis
 from conftest import (
     drop_vertex_oracle,
+    is_minimal_oracle,
     naive_lattice_points,
     random_hull,
     random_large_image,
@@ -160,6 +166,54 @@ def test_minimality_report_matches_the_all_vertices_definition(rng):
             ]
             expected = MinimalityReport(not offenders, min(offenders, default=None), d)
         assert is_minimal(p) == expected, p.vertices
+
+
+@pytest.fixture(scope="module")
+def minimality_corpus():
+    # the 9,024 polygons of the d <= 4 universe, the 4,211 width-8 tuples,
+    # the deletion corpus, and large images of every class of width <= 4
+    rng = random.Random(0x1A77)
+    polygons = [p for d in range(1, 5) for p in iter_full_width_polygons(d)]
+    polygons += [generate(t) for t in iter_type_params(8)]
+    polygons += _deletion_corpus(rng)
+    for d in range(5):
+        for cls in enumerate_minimal(d):
+            base = convex_hull(cls.canonical.vertices)
+            polygons += [random_large_image(rng, base) for _ in range(3)]
+    return polygons
+
+
+def test_minimality_report_matches_the_drop_every_vertex_loop(minimality_corpus):
+    for p in minimality_corpus:
+        assert is_minimal(p) == is_minimal_oracle(p), p.vertices
+
+
+def test_cleared_vertices_lose_width(minimality_corpus):
+    # a vertex alone on a supporting line of a width direction never offends
+    cleared = 0
+    for p in minimality_corpus:
+        if p.dimension < 2:
+            continue
+        basis = _reduced_basis(p)
+        for v in _cleared(p.vertices, basis):
+            cleared += 1
+            assert lattice_width(drop_vertex(p, v)).width < basis[1], (p.vertices, v)
+    assert cleared > 30_000
+
+
+def test_convicted_vertices_keep_width(minimality_corpus):
+    # when the other vertices alone keep the width, so does the remainder
+    convicted = 0
+    for p in minimality_corpus:
+        vs = p.vertices
+        if len(vs) < 4:
+            continue
+        basis = _reduced_basis(p)
+        for i, v in enumerate(vs):
+            if _convicted(vs, i, basis):
+                convicted += 1
+                assert lattice_width(drop_vertex(p, v)).width == basis[1], (vs, v)
+    assert convicted > 30_000
 
 
 def test_upsilon_examples():
