@@ -85,10 +85,8 @@ class MinimalClass:
         return self.canonical.byte_key
 
 
-def _family_points(params: TypeParams) -> list[Vec]:
-    # positional unpacking follows the name order of _FIELD_NAMES
-    d, tag = params.d, params.tag
-    v = [value for _, value in params.values]
+def _family_points(tag: str, d: int, v: Sequence[int]) -> list[Vec]:
+    # the values v are in the name order of _FIELD_NAMES
     if tag == "T1":
         x, y = v
         return [(0, 0), (d, y), (x, d)]
@@ -182,8 +180,13 @@ def generate(params: TypeParams) -> Polygon:
     no three consecutive formula points share.  At d = 0, T1 repeats the
     origin, and the hull is that point."""
     _check_ranges(params)
-    points = _family_points(params)
-    if params.d == 0:
+    values = [value for _, value in params.values]
+    return _family_polygon(_family_points(params.tag, params.d, values), params.d)
+
+
+def _family_polygon(points: list[Vec], d: int) -> Polygon:
+    # generate's polygon of in-range formula points, without the range check
+    if d == 0:
         return convex_hull(points)
     return polygon_from_cycle(points)
 
@@ -229,22 +232,54 @@ def iter_type_params(d: int) -> Iterator[TypeParams]:
     """All in-range parameter tuples for width d, in deterministic order:
     tags T1..T5, then the shoulder l, then the other fields ascending in name
     order."""
+    for tag, values in _iter_values(d):
+        yield TypeParams(tag, d, tuple(zip(_FIELD_NAMES[tag], values)))
+
+
+def _iter_values(d: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    # the tag and the values in name order of every iter_type_params tuple
     for tag, names in _FIELD_NAMES.items():
         for l in _shoulders(tag, d):
             head = (l,) if names[0] == "l" else ()
             for values in product(*_field_ranges(tag, d, l)):
                 if _side_conditions_hold(tag, d, values):
-                    yield TypeParams(tag, d, tuple(zip(names, head + values)))
+                    yield tag, head + values
 
 
-def _square_images(vertices: Sequence[Vec], d: int) -> Iterator[frozenset[Vec]]:
-    """The vertex sets of the images under the 8 symmetries of [0, d]^2:
-    (x, y) -> (x or d - x, y or d - y), optionally swapped."""
-    for flip_x in (False, True):
-        for flip_y in (False, True):
-            image = [(d - x if flip_x else x, d - y if flip_y else y) for x, y in vertices]
-            yield frozenset(image)
-            yield frozenset((y, x) for x, y in image)
+def _orbit_keys(points: Sequence[Vec], d: int) -> set[int]:
+    """The ``_point_key``s of the images of the point set under the 8
+    symmetries of [0, d]^2: (x, y) -> (x or d - x, y or d - y), optionally
+    swapped.
+
+    The point (x, y) has the bit i = x*(d+1) + y, its reflection (x, d - y)
+    the bit j = x*(d+1) + d - y, and the half turn (d - x, d - y) sends the
+    bit i to last - i, with last = (d+1)^2 - 1.  So one pass over the set
+    and one over its swap give all 8 keys: each set, its reflection, and
+    the half turns of both."""
+    w = d + 1
+    last = w * w - 1
+    keys = set()
+    for image in (points, [(y, x) for x, y in points]):
+        same = turned = reflected = reflected_turned = 0
+        for x, y in image:
+            i, j = x * w + y, x * w + d - y
+            same |= 1 << i
+            turned |= 1 << (last - i)
+            reflected |= 1 << j
+            reflected_turned |= 1 << (last - j)
+        keys.update((same, turned, reflected, reflected_turned))
+    return keys
+
+
+def _point_key(points: Sequence[Vec], d: int) -> int:
+    """The bit set over [0, d]^2 of a set of points in it, bit x*(d+1) + y
+    for (x, y); repeated points count once.  See
+    ``enumerate_minimal_with_stats``."""
+    w = d + 1
+    key = 0
+    for x, y in points:
+        key |= 1 << (x * w + y)
+    return key
 
 
 @dataclass
@@ -273,42 +308,56 @@ def enumerate_minimal_with_stats(
     width exactly d; the first tuple hitting a class (smallest (tag, values))
     is the stored representative.
 
+    The tuples are those of ``iter_type_params``, drawn from the very
+    ranges and side conditions that ``generate`` checks, so the polygons
+    are built without that check, and a ``TypeParams`` is built only for a
+    stored representative.
+
     Every family polygon lies in [0, d]^2, and most tuples give an image of
     an earlier tuple's polygon under one of the 8 symmetries of that square.
-    So each computed form is memoized under the polygon's vertex set, and a
-    tuple reuses the form when the vertex set of one of its 8 images is
-    memoized.  This is
-    exact: a square symmetry is a unimodular map, so the image has the same
-    canonical form, and every step after the form is unchanged.  Hence the
-    classes, their representatives and the per-tag stats are the same as
-    when every tuple is keyed afresh.
+    So the canonical forms are memoized under vertex sets, each keyed by an
+    integer: the sum of 2^(x*(d+1) + y) over the set V.  The exponent
+    x*(d+1) + y is the index of (x, y) in base d + 1, one bit per point of
+    the square, so the key is V's bit set and different sets get different
+    keys.  The key is taken from the formula points, whose set is the
+    vertex set: for d >= 1 they are the vertex cycle (see ``generate``),
+    and at d = 0 they are one point three times.  When a form is computed,
+    it is memoized under the keys of all 8 images of V, and every tuple
+    looks up its own key once.  That finds exactly the earlier polygons of
+    which it is an image: the 8 symmetries form a group, so V = g(W) for a
+    symmetry g exactly when g^-1(V) = W.  The memo is exact: a square
+    symmetry is a unimodular map, so an image has the same canonical form,
+    and every step after the form is unchanged.  Hence the classes, their
+    representatives and the per-tag stats are the same as when every tuple
+    is keyed afresh.  A polygon is built only for a memo miss or a new
+    class key.
     """
     if d < 0:
         raise OutOfRange("width must be nonnegative")
     stats = EnumerationStats.empty()
     classes: dict[str, MinimalClass] = {}
-    forms: dict[frozenset[Vec], CanonicalForm] = {}
-    for params in iter_type_params(d):
-        stats.generated[params.tag] += 1
-        poly = generate(params)
-        for image in _square_images(poly.vertices, d):
-            form = forms.get(image)
-            if form is not None:
-                break
-        else:
-            form = canonical_form(poly)
-            forms[frozenset(poly.vertices)] = form
+    forms: dict[int, CanonicalForm] = {}
+    for tag, values in _iter_values(d):
+        stats.generated[tag] += 1
+        points = _family_points(tag, d, values)
+        form = forms.get(_point_key(points, d))
+        if form is None:
+            form = canonical_form(_family_polygon(points, d))
+            for image in _orbit_keys(points, d):
+                forms[image] = form
         key = form.byte_key
         if key in classes:
-            stats.duplicates[params.tag] += 1
+            stats.duplicates[tag] += 1
             continue
+        poly = _family_polygon(points, d)
         report = is_minimal(poly)
         if not report.is_minimal:
-            stats.non_minimal[params.tag] += 1
+            stats.non_minimal[tag] += 1
             continue
         if report.width != d:
-            stats.wrong_width[params.tag] += 1
+            stats.wrong_width[tag] += 1
             continue
+        params = TypeParams(tag, d, tuple(zip(_FIELD_NAMES[tag], values)))
         classes[key] = MinimalClass(
             form, params, lattice_point_count(poly), doubled_area(poly)
         )

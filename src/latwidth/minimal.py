@@ -103,7 +103,7 @@ def _convicted(vs: tuple[Vec, ...], i: int, basis: tuple[Vec, int, Vec, int]) ->
     reduced basis (b1, d, b2, n2), where the reduction starts."""
     b1, d, b2, _ = basis
     rest = polygon_from_cycle(vs[:i] + vs[i + 1:])
-    return _reduced_basis(rest, (b1, b2))[1] >= d
+    return _reduced_basis(rest, (b1, b2), d)[1] >= d
 
 
 def is_minimal(p: Polygon) -> MinimalityReport:
@@ -134,7 +134,8 @@ def is_minimal(p: Polygon) -> MinimalityReport:
     2-dimensional R or Q the width is N(b1) of a reduced basis, and the
     reduction starts from p's reduced basis: both differ from p by one
     corner, so that basis is nearly reduced for them and only a few rounds
-    are needed.
+    are needed.  Only whether that width is still d matters, so the
+    reduction stops at the first lattice vector narrower than d.
     """
     if p.dimension == 0:
         return MinimalityReport(True, None, 0)
@@ -150,7 +151,7 @@ def is_minimal(p: Polygon) -> MinimalityReport:
         if len(vs) > 3 and _convicted(vs, vs.index(v), basis):
             return MinimalityReport(False, v, d)
         remainder = drop_vertex(p, v)
-        if remainder.dimension == 2 and _reduced_basis(remainder, (b1, b2))[1] >= d:
+        if remainder.dimension == 2 and _reduced_basis(remainder, (b1, b2), d)[1] >= d:
             return MinimalityReport(False, v, d)
     return MinimalityReport(True, None, d)
 

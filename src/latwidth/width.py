@@ -151,7 +151,7 @@ def _last_within(f, a: int, hi: int, bound: int) -> int:
 
 
 def _reduced_basis(
-    p: Polygon, start: tuple[Vec, Vec] = ((1, 0), (0, 1))
+    p: Polygon, start: tuple[Vec, Vec] = ((1, 0), (0, 1)), floor: int = 0
 ) -> tuple[Vec, int, Vec, int]:
     """A lattice basis (b1, b2) reduced for the width norm N of a
     2-dimensional p, with n1 = N(b1) and n2 = N(b2).
@@ -170,19 +170,29 @@ def _reduced_basis(
     Nothing in the argument depends on the start, so any lattice basis
     will do; one that is already nearly reduced for N, such as the reduced
     basis of a polygon containing p, saves most of the rounds.
+
+    ``floor`` serves the yes/no question whether lambda1 >= floor.  The
+    reduction stops as soon as N(b1) < floor: b1 is a lattice vector, so
+    lambda1 <= N(b1) < floor already answers no, and the basis returned
+    then need not be reduced.  If N(b1) never drops below the floor, the
+    reduction runs to the end as above.  Either way
+    ``_reduced_basis(p, start, floor)[1] >= floor`` equals
+    ``_reduced_basis(p, start)[1] >= floor``.  The default 0 never stops
+    early.
     """
     b1, b2 = start
     n1, n2 = width_in_direction(p, b1), width_in_direction(p, b2)
     if n2 < n1:
         b1, n1, b2, n2 = b2, n2, b1, n1
-    while True:
+    while n1 >= floor:
         mu = _best_step(p, b1, n1, b2, n2)
         if mu:
             b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
             n2 = width_in_direction(p, b2)
         if n2 >= n1:
-            return b1, n1, b2, n2
+            break
         b1, n1, b2, n2 = b2, n2, b1, n1
+    return b1, n1, b2, n2
 
 
 @lru_cache(maxsize=1)

@@ -24,7 +24,7 @@ from latwidth import (
     lattice_width,
     upsilon,
 )
-from latwidth.classify import TAGS, _family_points
+from latwidth.classify import TAGS, _family_points, _orbit_keys, _point_key
 from conftest import enumerate_minimal_oracle, naive_lattice_points, random_unimodular
 
 # class counts fixed by the brute-force oracle ahead of the enumerator build
@@ -69,7 +69,8 @@ def test_generate_matches_the_hull_of_the_formula_points():
     for d in range(13):
         for t in iter_type_params(d):
             count += 1
-            assert generate(t) == convex_hull(_family_points(t)), t
+            values = [value for _, value in t.values]
+            assert generate(t) == convex_hull(_family_points(t.tag, d, values)), t
     assert count == 168326
 
 
@@ -260,7 +261,22 @@ def test_enumeration_stats_per_tag(d):
     assert not any(stats.non_minimal.values()) and not any(stats.wrong_width.values())
 
 
-@pytest.mark.parametrize("d", range(8))
+def test_orbit_keys_are_the_keys_of_the_eight_square_images():
+    # the bit set of each image's vertex set, built point by point
+    for d in range(9):
+        bit_set = lambda points: sum(1 << (x * (d + 1) + y) for x, y in set(points))
+        for t in iter_type_params(d):
+            vertices = generate(t).vertices
+            images = []
+            for flip_x in (False, True):
+                for flip_y in (False, True):
+                    image = [(d - x if flip_x else x, d - y if flip_y else y) for x, y in vertices]
+                    images += [image, [(y, x) for x, y in image]]
+            assert _point_key(vertices, d) == bit_set(vertices)
+            assert _orbit_keys(vertices, d) == {bit_set(image) for image in images}, t
+
+
+@pytest.mark.parametrize("d", range(9))
 def test_orbit_memo_matches_the_unmemoized_loop(d):
     classes, stats = enumerate_minimal_with_stats(d)
     expected, expected_stats = enumerate_minimal_oracle(d)
@@ -342,9 +358,16 @@ def test_width_9_regression_count():
     assert len(enumerate_minimal(9)) == 1285
 
 
+def test_width_10_regression_count():
+    assert len(enumerate_minimal(10)) == 2656
+
+
+# measured with this enumerator, not taken from the paper: regression values
+# only
 @pytest.mark.skipif(
     not os.environ.get("LATWIDTH_SLOW"),
-    reason="enumerating width 10 takes several seconds; set LATWIDTH_SLOW=1 to run",
+    reason="enumerating widths 11 and 12 takes several seconds; set LATWIDTH_SLOW=1 to run",
 )
 def test_large_width_regression_counts():
-    assert len(enumerate_minimal(10)) == 2656
+    assert len(enumerate_minimal(11)) == 5063
+    assert len(enumerate_minimal(12)) == 9498

@@ -182,6 +182,7 @@ ENUMERATE_SHA256 = {
     6: "b6a02f1ed1ff977e45b30d900630c64e988c7e8576b788176b904694e5c4f438",
     7: "62a5570cb29f0eaf860b5fe74bf49aa907a12d4249d7913d815cae9785eddb0c",
     8: "7d79cdc28e782e10d4b7de8a8a8cf230d8fb86225f268408d84a789dd0dc6425",
+    9: "ec31c25f44b119e8e34124bb48126b9ff9ea6c260c828aea3e93e207f0f02569",
 }
 
 

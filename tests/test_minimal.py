@@ -21,6 +21,7 @@ from latwidth import (
     upsilon_lemma_witness,
     width_in_direction,
 )
+from latwidth.core import cross, polygon_from_cycle
 from latwidth.minimal import _cleared, _convicted
 from latwidth.width import _reduced_basis
 from conftest import (
@@ -214,6 +215,30 @@ def test_convicted_vertices_keep_width(minimality_corpus):
                 convicted += 1
                 assert lattice_width(drop_vertex(p, v)).width == basis[1], (vs, v)
     assert convicted > 30_000
+
+
+def test_early_stopping_reduction_matches_the_full_one(minimality_corpus):
+    # is_minimal asks only whether lambda1 >= d of every vertex-deleted cycle
+    # and every remainder; stopping at the first vector narrower than the
+    # floor gives the full reduction's answer, for the floors d and d + 1
+    checked = 0
+    for p in minimality_corpus:
+        if p.dimension < 2:
+            continue
+        b1, d, b2, _ = _reduced_basis(p)
+        vs = p.vertices
+        subpolygons = [drop_vertex(p, v) for v in vs]
+        subpolygons += [polygon_from_cycle(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
+        for q in subpolygons:
+            if q.dimension < 2:
+                continue
+            width = _reduced_basis(q, (b1, b2))[1]
+            for floor in (d, d + 1):
+                c1, m1, c2, m2 = _reduced_basis(q, (b1, b2), floor)
+                assert (m1 >= floor) == (width >= floor), (vs, q.vertices, floor)
+                assert width_in_direction(q, c1) == m1 and abs(cross(c1, c2)) == 1
+                checked += 1
+    assert checked > 100_000
 
 
 def test_upsilon_examples():

@@ -228,13 +228,14 @@ def test_listing_bisects_each_row(monkeypatch):
 def test_reduction_from_any_start_basis(rng):
     # the successive minima do not depend on the basis the reduction starts
     # from, whether a random one or that of a polygon containing the input
-    # (a vertex deletion); the result is again a lattice basis
+    # (a vertex deletion); the result is again a lattice basis.  With a
+    # floor, the reduction answers lambda1 >= floor as the full one does
     for _ in range(1000):
         p = random_polygon(rng, span=8, points=5)
         remainder = drop_vertex(p, rng.choice(p.vertices))
         if remainder.dimension < 2:
             continue
-        b1, _, b2, _ = _reduced_basis(p)
+        b1, d, b2, _ = _reduced_basis(p)
         m = random_unimodular(rng, magnitude=40)
         _, n1, _, n2 = _reduced_basis(remainder)
         for start in ((b1, b2), ((m.a11, m.a12), (m.a21, m.a22))):
@@ -243,6 +244,11 @@ def test_reduction_from_any_start_basis(rng):
             assert abs(cross(c1, c2)) == 1
             assert width_in_direction(remainder, c1) == m1
             assert width_in_direction(remainder, c2) == m2
+            for floor in (d, d + 1):
+                c1, m1, c2, _ = _reduced_basis(remainder, start, floor)
+                assert (m1 >= floor) == (n1 >= floor)
+                assert abs(cross(c1, c2)) == 1
+                assert width_in_direction(remainder, c1) == m1
 
 
 def test_four_direction_images_keep_four_directions(rng):
