@@ -271,6 +271,13 @@ def _orbit_keys(points: Sequence[Vec], d: int) -> set[int]:
     return keys
 
 
+def _hexagon_rotation(points: Sequence[Vec], d: int, l: int) -> list[Vec]:
+    """The images of the points under rho_l(x, y) = (d - y, x - y + d - l),
+    the lattice rotation of order 3 that maps the hexagon (d, l) onto
+    itself.  See ``enumerate_minimal_with_stats``."""
+    return [(d - y, x - y + d - l) for x, y in points]
+
+
 def _point_key(points: Sequence[Vec], d: int) -> int:
     """The bit set over [0, d]^2 of a set of points in it, bit x*(d+1) + y
     for (x, y); repeated points count once.  See
@@ -331,6 +338,19 @@ def enumerate_minimal_with_stats(
     representatives and the per-tag stats are the same as when every tuple
     is keyed afresh.  A polygon is built only for a memo miss or a new
     class key.
+
+    T3..T5 with shoulder l lie in the hexagon (d, l), which has one more
+    symmetry: the rotation rho_l(x, y) = (d - y, x - y + d - l).  Its
+    linear part [[0, -1], [1, -1]] has determinant 1 and cube the
+    identity, so rho_l is unimodular of order 3.  It permutes the
+    hexagon's vertices in two 3-cycles, (0,0) -> (d,d-l) -> (l,d) -> (0,0)
+    and (l,0) -> (d,d) -> (0,d-l) -> (l,0), so it maps the hexagon onto
+    itself.  Every T3..T5 formula point is on the hexagon's boundary (see
+    ``generate``), so the rotated points stay in [0, d]^2, where the key is
+    defined.  On a memo miss of such a tuple, the form is stored under the
+    8 square keys of each of V, rho_l(V) and rho_l^2(V).  All of them are
+    unimodular images of V and have its canonical form, so the memo stays
+    exact by the argument above.
     """
     if d < 0:
         raise OutOfRange("width must be nonnegative")
@@ -343,8 +363,13 @@ def enumerate_minimal_with_stats(
         form = forms.get(_point_key(points, d))
         if form is None:
             form = canonical_form(_family_polygon(points, d))
-            for image in _orbit_keys(points, d):
-                forms[image] = form
+            images = [points]
+            if _FIELD_NAMES[tag][0] == "l":
+                images.append(_hexagon_rotation(points, d, values[0]))
+                images.append(_hexagon_rotation(images[1], d, values[0]))
+            for image in images:
+                for image_key in _orbit_keys(image, d):
+                    forms[image_key] = form
         key = form.byte_key
         if key in classes:
             stats.duplicates[tag] += 1

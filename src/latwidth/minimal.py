@@ -97,13 +97,20 @@ def _cleared(vs: tuple[Vec, ...], basis: tuple[Vec, int, Vec, int]) -> set[Vec]:
     return found
 
 
-def _convicted(vs: tuple[Vec, ...], i: int, basis: tuple[Vec, int, Vec, int]) -> bool:
-    """Whether the cycle vs of a strictly convex polygon with at least four
-    vertices still has width >= d without its vertex i, for the polygon's
-    reduced basis (b1, d, b2, n2), where the reduction starts."""
+def _convicted(
+    vs: tuple[Vec, ...], i: int, basis: tuple[Vec, int, Vec, int]
+) -> tuple[Vec, int, Vec, int]:
+    """The reduction with floor d of the cycle Q = vs without its vertex i,
+    for a strictly convex polygon with at least four vertices and its
+    reduced basis (b1, d, b2, n2), where the reduction starts.
+
+    Q still has width >= d exactly when the returned (c1, m1, c2, m2) has
+    m1 >= d.  Otherwise c1 is a lattice vector with N_Q(c1) < d, and
+    (c1, c2) is a lattice basis, where ``is_minimal`` starts the
+    remainder's reduction."""
     b1, d, b2, _ = basis
     rest = polygon_from_cycle(vs[:i] + vs[i + 1:])
-    return _reduced_basis(rest, (b1, b2), d)[1] >= d
+    return _reduced_basis(rest, (b1, b2), d)
 
 
 def is_minimal(p: Polygon) -> MinimalityReport:
@@ -131,11 +138,19 @@ def is_minimal(p: Polygon) -> MinimalityReport:
 
     Only a vertex that neither decides has its remainder built by
     ``drop_vertex``.  A point or segment remainder has width 0 < d.  For a
-    2-dimensional R or Q the width is N(b1) of a reduced basis, and the
-    reduction starts from p's reduced basis: both differ from p by one
-    corner, so that basis is nearly reduced for them and only a few rounds
-    are needed.  Only whether that width is still d matters, so the
-    reduction stops at the first lattice vector narrower than d.
+    2-dimensional R or Q the width is N(b1) of a reduced basis.  Only
+    whether that width is still d matters, so the reduction stops at the
+    first lattice vector narrower than d.  Q's reduction starts from p's
+    reduced basis: Q differs from p by one corner, so that basis is nearly
+    reduced for it and only a few rounds are needed.  When Q is not
+    convicted, its early-stopped reduction has found a lattice basis
+    (c1, c2) with N_Q(c1) < d, and R's reduction starts from it; any
+    lattice basis is a valid start (see ``_reduced_basis``).  R differs
+    from Q only by part of one corner triangle, so c1 is usually narrower
+    than d for R as well (for all 756 such remainders of the width-8
+    representatives), and then the reduction stops after its first two
+    evaluations.  A triangle p has no Q, and R starts from p's reduced
+    basis.
     """
     if p.dimension == 0:
         return MinimalityReport(True, None, 0)
@@ -148,10 +163,14 @@ def is_minimal(p: Polygon) -> MinimalityReport:
     for v in sorted(vs):
         if v in cleared:
             continue
-        if len(vs) > 3 and _convicted(vs, vs.index(v), basis):
-            return MinimalityReport(False, v, d)
+        start = (b1, b2)
+        if len(vs) > 3:
+            c1, m1, c2, _ = _convicted(vs, vs.index(v), basis)
+            if m1 >= d:
+                return MinimalityReport(False, v, d)
+            start = (c1, c2)
         remainder = drop_vertex(p, v)
-        if remainder.dimension == 2 and _reduced_basis(remainder, (b1, b2), d)[1] >= d:
+        if remainder.dimension == 2 and _reduced_basis(remainder, start, d)[1] >= d:
             return MinimalityReport(False, v, d)
     return MinimalityReport(True, None, d)
 

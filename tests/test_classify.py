@@ -24,7 +24,8 @@ from latwidth import (
     lattice_width,
     upsilon,
 )
-from latwidth.classify import TAGS, _family_points, _orbit_keys, _point_key
+import latwidth.classify as classify_module
+from latwidth.classify import TAGS, _family_points, _hexagon_rotation, _orbit_keys, _point_key
 from conftest import enumerate_minimal_oracle, naive_lattice_points, random_unimodular
 
 # class counts fixed by the brute-force oracle ahead of the enumerator build
@@ -276,7 +277,42 @@ def test_orbit_keys_are_the_keys_of_the_eight_square_images():
             assert _orbit_keys(vertices, d) == {bit_set(image) for image in images}, t
 
 
-@pytest.mark.parametrize("d", range(9))
+def test_hexagon_rotation_is_a_symmetry_of_the_shoulder_families():
+    # rho_l permutes the hexagon's vertices, keeps the formula points in the
+    # square, has order 3, and keeps the canonical form
+    for d in range(9):
+        for t in iter_type_params(d):
+            if t.tag not in ("T3", "T4", "T5"):
+                continue
+            l = t["l"]
+            corners = hexagon(d, l).vertices
+            assert sorted(_hexagon_rotation(corners, d, l)) == sorted(corners), t
+            points = _family_points(t.tag, d, [value for _, value in t.values])
+            once = _hexagon_rotation(points, d, l)
+            twice = _hexagon_rotation(once, d, l)
+            assert _hexagon_rotation(twice, d, l) == points, t
+            form = canonical_form(generate(t))
+            for image in (once, twice):
+                assert all(0 <= x <= d and 0 <= y <= d for x, y in image), t
+                assert canonical_form(convex_hull(image)) == form, t
+
+
+@pytest.mark.parametrize("d, forms", [(8, 636), (10, 2676)])
+def test_orbit_memo_computes_few_canonical_forms(monkeypatch, d, forms):
+    # the square symmetries and the hexagon rotation leave few misses: 628
+    # and 2,656 classes, against 1,016 and 5,330 forms with the square alone
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return canonical_form(p)
+
+    monkeypatch.setattr(classify_module, "canonical_form", counted)
+    enumerate_minimal_with_stats(d)
+    assert len(calls) == forms
+
+
+@pytest.mark.parametrize("d", range(10))
 def test_orbit_memo_matches_the_unmemoized_loop(d):
     classes, stats = enumerate_minimal_with_stats(d)
     expected, expected_stats = enumerate_minimal_oracle(d)

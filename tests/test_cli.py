@@ -75,13 +75,13 @@ def test_lattice_size_command(capsys, tmp_path):
     assert set(data["witness"]) == {"a", "b"}
 
 
-def _cli_process(*argv):
+def _cli_process(*argv, interpreter_flags=()):
     # a separate interpreter, so a runaway computation ends at the timeout
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "latwidth.cli", *argv],
+        [sys.executable, *interpreter_flags, "-m", "latwidth.cli", *argv],
         capture_output=True, text=True, env=env, timeout=30,
     )
 
@@ -169,9 +169,10 @@ def test_enumerate_command(capsys):
     assert entry["tag"] == "T1" and entry["point_count"] == 3
 
 
-# sha256 of the stdout bytes of `latwidth enumerate d`, recorded before the
-# orbit memo and the canonical-form pruning; the printed keys, representatives
-# and order must not move
+# sha256 of the stdout bytes of `latwidth enumerate d`, recorded for d <= 9
+# before the orbit memo and the canonical-form pruning, and for d >= 10
+# before the hexagon rotation joined the memo; the printed keys,
+# representatives and order must not move
 ENUMERATE_SHA256 = {
     0: "a4d88014512538dfc85cc250cb87191a76c01a3e10d627a914f20a96f5093788",
     1: "d92cda5345bf5021bfc4995427829d8dd748ec2e3278e55f387530616415d08e",
@@ -183,6 +184,11 @@ ENUMERATE_SHA256 = {
     7: "62a5570cb29f0eaf860b5fe74bf49aa907a12d4249d7913d815cae9785eddb0c",
     8: "7d79cdc28e782e10d4b7de8a8a8cf230d8fb86225f268408d84a789dd0dc6425",
     9: "ec31c25f44b119e8e34124bb48126b9ff9ea6c260c828aea3e93e207f0f02569",
+    10: "2eb27060914fcca1366dbb342b2d23312fbaba7952d636f4d27deff061b33d25",
+}
+LARGE_ENUMERATE_SHA256 = {
+    11: "5fa102e1cd9f16a985228de813b1cda5f43e86d5aa3318ec216e30af1e8e92d4",
+    12: "8ad8611486cb3a55fa5e9bd1530dc148b45fc8f7a57ce02f3fc6cfa8f4f267c7",
 }
 
 
@@ -246,6 +252,35 @@ def test_verify_output_bytes_are_pinned(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "1", "4", "--oracle")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_1_4_ORACLE_STDOUT_SHA256
+
+
+VERIFY_9_12_STDOUT_SHA256 = "9945d9c0472543f11f2d4583b3ffaa9b9f64492253dacf8b35ed2bbcd2136858"
+
+
+@pytest.mark.skipif(
+    not os.environ.get("LATWIDTH_SLOW"),
+    reason="enumerating widths 11 and 12 takes several seconds; set LATWIDTH_SLOW=1 to run",
+)
+def test_large_width_output_bytes_are_pinned(capsys):
+    for d, digest in LARGE_ENUMERATE_SHA256.items():
+        code, out, _ = run(capsys, "enumerate", str(d))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, d
+    code, out, _ = run(capsys, "verify", "9", "12")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_9_12_STDOUT_SHA256
+
+
+def test_output_bytes_do_not_rely_on_assert():
+    # invariants raise and do not assert, so -O, which strips every assert,
+    # prints the same bytes
+    for argv, digest in (
+        (("enumerate", "6"), ENUMERATE_SHA256[6]),
+        (("verify", "1", "4", "--oracle"), VERIFY_1_4_ORACLE_STDOUT_SHA256),
+    ):
+        done = _cli_process(*argv, interpreter_flags=("-O",))
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest, argv
 
 
 def test_plot_command(capsys, tmp_path):

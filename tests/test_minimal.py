@@ -211,7 +211,7 @@ def test_convicted_vertices_keep_width(minimality_corpus):
             continue
         basis = _reduced_basis(p)
         for i, v in enumerate(vs):
-            if _convicted(vs, i, basis):
+            if _convicted(vs, i, basis)[1] >= basis[1]:
                 convicted += 1
                 assert lattice_width(drop_vertex(p, v)).width == basis[1], (vs, v)
     assert convicted > 30_000
@@ -221,11 +221,12 @@ def test_early_stopping_reduction_matches_the_full_one(minimality_corpus):
     # is_minimal asks only whether lambda1 >= d of every vertex-deleted cycle
     # and every remainder; stopping at the first vector narrower than the
     # floor gives the full reduction's answer, for the floors d and d + 1
-    checked = 0
+    checked = restarted = 0
     for p in minimality_corpus:
         if p.dimension < 2:
             continue
-        b1, d, b2, _ = _reduced_basis(p)
+        basis = _reduced_basis(p)
+        b1, d, b2, _ = basis
         vs = p.vertices
         subpolygons = [drop_vertex(p, v) for v in vs]
         subpolygons += [polygon_from_cycle(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
@@ -238,7 +239,18 @@ def test_early_stopping_reduction_matches_the_full_one(minimality_corpus):
                 assert (m1 >= floor) == (width >= floor), (vs, q.vertices, floor)
                 assert width_in_direction(q, c1) == m1 and abs(cross(c1, c2)) == 1
                 checked += 1
-    assert checked > 100_000
+        if len(vs) < 4:
+            continue
+        # is_minimal starts each remainder's reduction from the basis at
+        # which the reduction of its vertex-deleted cycle stopped
+        for i, remainder in enumerate(subpolygons[:len(vs)]):
+            if remainder.dimension < 2:
+                continue
+            c1, _, c2, _ = _convicted(vs, i, basis)
+            width = _reduced_basis(remainder, (b1, b2))[1]
+            assert (_reduced_basis(remainder, (c1, c2), d)[1] >= d) == (width >= d), (vs, i)
+            restarted += 1
+    assert checked > 100_000 and restarted > 30_000
 
 
 def test_upsilon_examples():
