@@ -29,7 +29,6 @@ from .core import (
     convex_hull,
     doubled_area,
     lattice_point_count,
-    lattice_points,
     polygon_from_cycle,
 )
 from .minimal import MinimalityReport, is_minimal
@@ -513,7 +512,7 @@ def brute_force_minimal(d: int) -> list[MinimalClass]:
         key = form.byte_key
         if key not in classes:
             classes[key] = MinimalClass(
-                form, None, len(lattice_points(p)), doubled_area(p)
+                form, None, lattice_point_count(p), doubled_area(p)
             )
     return sorted(classes.values(), key=lambda c: (c.point_count, c.key))
 

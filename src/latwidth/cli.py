@@ -2,7 +2,8 @@
 
 Subcommands: width, lattice-size, minimal, classify, enumerate, verify, plot.
 All machine-readable output is JSON with fixed key order; exit status is 0 on
-success, 1 on verification failure, 2 on usage or parse errors.
+success, 1 on verification failure, 2 on usage or parse errors, on input
+that cannot be read or is not UTF-8, and on output that cannot be written.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from functools import cache
 
@@ -21,7 +23,7 @@ from .classify import (
     enumerate_minimal_with_stats,
 )
 from .core import OutOfRange, Polygon, UnimodularMap, polygon_from_json
-from .minimal import is_minimal
+from .minimal import MinimalityReport, is_minimal
 from .svg import render_figure
 from .width import lattice_size_square, lattice_width
 
@@ -37,7 +39,7 @@ def _read_polygon(path: str) -> Polygon:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         p = polygon_from_json(text)
@@ -60,11 +62,12 @@ def _map_json(m: UnimodularMap) -> dict:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+    """Write text, ending in a newline, to stdout or to the file at path."""
+    try:
+        with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
 def _class_json(cls) -> dict:
@@ -79,77 +82,49 @@ def _class_json(cls) -> dict:
     }
 
 
-def cmd_width(args) -> int:
-    p = _read_polygon(args.polygon)
+def _report_json(rep: MinimalityReport) -> dict:
+    return {
+        "minimal": rep.is_minimal,
+        "width": rep.width,
+        "offending_vertex": list(rep.offending_vertex) if rep.offending_vertex else None,
+    }
+
+
+# The answers of the polygon subcommands: each takes the polygon read from
+# the command line and returns the JSON object that the subcommand prints.
+def _width(p: Polygon) -> dict:
     w = lattice_width(p)
     s = lattice_size_square(p)
-    _emit(
-        json.dumps(
-            {
-                "lw": w.width,
-                "ls_square": s.size,
-                "directions": [list(v) for v in w.directions],
-            }
-        ),
-        args.output,
-    )
-    return 0
+    return {
+        "lw": w.width,
+        "ls_square": s.size,
+        "directions": [list(v) for v in w.directions],
+    }
 
 
-def cmd_lattice_size(args) -> int:
-    p = _read_polygon(args.polygon)
+def _lattice_size(p: Polygon) -> dict:
     s = lattice_size_square(p)
-    _emit(json.dumps({"ls_square": s.size, "witness": _map_json(s.witness)}), args.output)
-    return 0
+    return {"ls_square": s.size, "witness": _map_json(s.witness)}
 
 
-def cmd_minimal(args) -> int:
-    p = _read_polygon(args.polygon)
-    rep = is_minimal(p)
-    _emit(
-        json.dumps(
-            {
-                "minimal": rep.is_minimal,
-                "width": rep.width,
-                "offending_vertex": list(rep.offending_vertex) if rep.offending_vertex else None,
-            }
-        ),
-        args.output,
-    )
-    return 0
+def _minimal(p: Polygon) -> dict:
+    return _report_json(is_minimal(p))
 
 
-def cmd_classify(args) -> int:
-    p = _read_polygon(args.polygon)
+def _classify(p: Polygon) -> dict:
     rep = is_minimal(p)
     if not rep.is_minimal:
-        _emit(
-            json.dumps(
-                {
-                    "minimal": False,
-                    "width": rep.width,
-                    "offending_vertex": list(rep.offending_vertex),
-                }
-            ),
-            args.output,
-        )
-        return 0
+        return _report_json(rep)
     _check_d(rep.width)
     cls, witness = classify_polygon(p, rep)
-    _emit(
-        json.dumps(
-            {
-                "minimal": True,
-                "tag": cls.params.tag,
-                "d": cls.params.d,
-                "params": cls.params.as_dict(),
-                "key": cls.key,
-                "witness": _map_json(witness),
-            }
-        ),
-        args.output,
-    )
-    return 0
+    return {
+        "minimal": True,
+        "tag": cls.params.tag,
+        "d": cls.params.d,
+        "params": cls.params.as_dict(),
+        "key": cls.key,
+        "witness": _map_json(witness),
+    }
 
 
 def cmd_enumerate(args) -> int:
@@ -225,17 +200,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_polygon_cmd(name, func, help_text):
+    def add_polygon_cmd(name, answer, help_text):
+        def run(args) -> int:
+            _emit(json.dumps(answer(_read_polygon(args.polygon))), args.output)
+            return 0
+
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("polygon", help="polygon JSON file")
         sp.add_argument("-o", "--output", default=None, help="write result here instead of stdout")
-        sp.set_defaults(func=func)
-        return sp
+        sp.set_defaults(func=run)
 
-    add_polygon_cmd("width", cmd_width, "lattice width, width directions, and lattice size")
-    add_polygon_cmd("lattice-size", cmd_lattice_size, "lattice size w.r.t. the unit square, with witness")
-    add_polygon_cmd("minimal", cmd_minimal, "inclusion-minimality report")
-    add_polygon_cmd("classify", cmd_classify, "classification of a minimal polygon")
+    add_polygon_cmd("width", _width, "lattice width, width directions, and lattice size")
+    add_polygon_cmd("lattice-size", _lattice_size, "lattice size w.r.t. the unit square, with witness")
+    add_polygon_cmd("minimal", _minimal, "inclusion-minimality report")
+    add_polygon_cmd("classify", _classify, "classification of a minimal polygon")
 
     sp = sub.add_parser("enumerate", help="enumerate minimal classes of a given width")
     sp.add_argument("d", type=int, help="lattice width")
@@ -268,10 +246,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OutOfRange as exc:
+    except (CliError, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,11 +17,6 @@ PITCH = 40
 MARGIN = 1  # lattice units around the drawing
 
 
-def _fmt(v: float) -> str:
-    # integers and halves only ever reach here; render without float noise
-    return str(int(v)) if float(v).is_integer() else f"{v:.1f}"
-
-
 def render_figure(p: Polygon, hexagon_l: Optional[int] = None) -> str:
     """SVG drawing of p with grid dots, its lattice points marked, the
     width-sized square outlined, and (optionally) the dashed hexagon."""
@@ -39,6 +34,9 @@ def render_figure(p: Polygon, hexagon_l: Optional[int] = None) -> str:
     def px(q):
         return (q[0] - x_lo) * PITCH, (y_hi - q[1]) * PITCH
 
+    def points(qs):
+        return " ".join(f"{x},{y}" for x, y in map(px, qs))
+
     width = (x_hi - x_lo) * PITCH
     height = (y_hi - y_lo) * PITCH
     out = [
@@ -51,21 +49,19 @@ def render_figure(p: Polygon, hexagon_l: Optional[int] = None) -> str:
         for gy in range(y_lo, y_hi + 1):
             cx, cy = px((gx, gy))
             out.append(
-                f'<circle class="grid" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="2" fill="#c8c8c8"/>'
+                f'<circle class="grid" cx="{cx}" cy="{cy}" r="2" fill="#c8c8c8"/>'
             )
-    sq = " ".join(
-        f"{_fmt(px(q)[0])},{_fmt(px(q)[1])}" for q in ((0, 0), (d, 0), (d, d), (0, d))
-    )
+    sq = points(((0, 0), (d, 0), (d, d), (0, d)))
     out.append(
         f'<polygon class="square" points="{sq}" fill="none" stroke="#888888" stroke-width="1.5"/>'
     )
     if hex_poly is not None:
-        hx = " ".join(f"{_fmt(px(q)[0])},{_fmt(px(q)[1])}" for q in hex_poly.vertices)
+        hx = points(hex_poly.vertices)
         out.append(
             f'<polygon class="hexagon" points="{hx}" fill="none" stroke="#cc3333" '
             f'stroke-width="2" stroke-dasharray="6 3"/>'
         )
-    body = " ".join(f"{_fmt(px(q)[0])},{_fmt(px(q)[1])}" for q in p.vertices)
+    body = points(p.vertices)
     tag = "polygon" if len(p.vertices) >= 3 else "polyline"
     out.append(
         f'<{tag} class="shape" points="{body}" fill="#3366cc" fill-opacity="0.3" '
@@ -74,7 +70,7 @@ def render_figure(p: Polygon, hexagon_l: Optional[int] = None) -> str:
     for q in sorted(lattice_points(p)):
         cx, cy = px(q)
         out.append(
-            f'<circle class="latpt" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="4" fill="#222222"/>'
+            f'<circle class="latpt" cx="{cx}" cy="{cy}" r="4" fill="#222222"/>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -289,10 +289,18 @@ def lattice_size_square(p: Polygon) -> SizeResult:
     p fits in [0,s]^2 exactly when some lattice basis (v, w) has both widths
     at most s.  In the plane the two successive minima of the width norm are
     attained by a basis, so for a 2-dimensional p the size is lambda2, read
-    off the reduced basis.  The witness rows are the first pair
-    with |det| = 1 among the directions of width at most lambda2
-    (``_directions_within``) in increasing (|x|, |y|, v) order, so ties
-    resolve deterministically.
+    off the reduced basis.  The witness rows are v, the first of the
+    directions of width at most lambda2 (``_directions_within``) in
+    increasing (|x|, |y|, v) order, and w, the first of them with
+    |det(v, w)| = 1, so ties resolve deterministically.
+
+    Such a w always exists.  lambda2 is attained by a basis, so one of its
+    vectors u is independent of v, and the triangle conv(0, v, u) lies in
+    the convex, symmetric set {N <= lambda2}.  Its edge [0, v] is
+    primitive, so in any unimodular triangulation of the triangle the
+    cell on that edge is conv(0, v, w) with |det(v, w)| = 1, and +-w is a
+    direction of width at most lambda2.  So this is also the first pair
+    with |det| = 1 in the order above.
     """
     if p.dimension == 0:
         vtx = p.vertices[0]
@@ -308,9 +316,7 @@ def lattice_size_square(p: Polygon) -> SizeResult:
     basis = _standard_reduction(p)
     size = basis[3]
     candidates = _directions_within(p, basis, size)
-    for v in candidates:
-        for w in candidates:
-            if abs(cross(v, w)) == 1:
-                return SizeResult(size, _witness_from_rows(p, v, w))
-    raise AssertionError("unreachable: the reduced basis has both widths at most lambda2")
+    v = candidates[0]
+    w = next(w for w in candidates if abs(cross(v, w)) == 1)
+    return SizeResult(size, _witness_from_rows(p, v, w))
 

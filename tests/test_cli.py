@@ -297,6 +297,136 @@ def test_plot_command(capsys, tmp_path):
     assert code == 0 and 'stroke-dasharray="6 3"' in out
 
 
+# the polygons of the byte pins below: the examples, the coordinate-limit
+# cases, a class image with a translation, and hulls of seeded random points
+PINNED_POLYGONS = {
+    "ups1": [[0, 0], [1, 2], [2, 1]],
+    "unit-square": [[0, 0], [1, 0], [1, 1], [0, 1]],
+    "point": [[4, -2]],
+    "segment": [[-3, 1], [6, 4]],
+    "thin-triangle-1e6": [[0, 0], [999_999, 999_998], [1_000_000, 999_999]],
+    "square-1e6": [[0, 0], [1_000_000, 0], [1_000_000, 1_000_000], [0, 1_000_000]],
+    "upsilon-1000": [[0, 0], [1, 1000], [1000, 1]],
+    "t5-image": [[-40, 17], [-37, 18], [-25, 23], [-9, 30], [-17, 27], [-29, 22]],
+    "hull-a": [[-9, 4], [-1, -2], [6, 6], [-2, 5]],
+    "hull-b": [[-9, -2], [0, 1], [-9, 0]],
+    "hull-c": [[-7, 2], [-5, -9], [-1, -9], [5, 5], [-1, 4]],
+    "hull-d": [[0, 0], [5, -7], [6, -5], [1, 5]],
+    "hull-e": [[-9, 6], [6, -9], [5, 6]],
+    "hull-f": [[-6, -7], [8, -6], [-2, 1]],
+}
+# sha256 of the stdout bytes of `latwidth <command> <polygon>`, each with
+# exit 0, recorded before the four polygon subcommands shared one runner;
+# classify is pinned only up to width 8, since it builds the class table of
+# the polygon's width
+POLYGON_COMMAND_SHA256 = {
+    "ups1": {
+        "width": "26478690246340dc0615c443efcf3fcfc141d55e0776606bcd895d12f0d7b462",
+        "lattice-size": "7576f88fa53239f49d37a38f0bf0b128b110a3aa707481434e0f31af072a2a11",
+        "minimal": "bb6615c998c5038251a20e0536442f074e171ec0d5967916740e1b8e75532236",
+        "classify": "3a64b655b95e6aeba8053aaaf84b7f9b0420cb2f777d167b0477865b5b297fc6",
+    },
+    "unit-square": {
+        "width": "0c7cf5ec867b16957625cd885a8fe83f602f16f0ba1255753468d3f782a7d145",
+        "lattice-size": "30d27c0370a97025ce71ecc9531effdabec427269d72705647b0195af85ff819",
+        "minimal": "48f3c2faa7f46aed7623a4b632d42059ce07485a30649448776324d4e83b4a3b",
+        "classify": "48f3c2faa7f46aed7623a4b632d42059ce07485a30649448776324d4e83b4a3b",
+    },
+    "point": {
+        "width": "e01a88112147dc81a82ec39b5cb7371c373f76c7a6450cefc26af4a290af4337",
+        "lattice-size": "d813fd770b02ad3222a82e5c36eb4a5175b15eea8833c11ac053eb07318d85c8",
+        "minimal": "d4de8a7ae1c0c8915a1eeb90754db4e60376dad60780c78b0a11d9a3f349aec6",
+        "classify": "bdfb2a56a0328440bf6f4231f123df97309df53a6290aa379b3bb1722eb1efd2",
+    },
+    "segment": {
+        "width": "bb18c47925234069730d723b3bf3818392c5a3cb2b38f059fa1d181ee83035f9",
+        "lattice-size": "a21218a0dda37ce18358778fd1c2ea9da850378de1f4d426a505b519d3f596b0",
+        "minimal": "2ec112a803808ce3c3c983b45374351977ec42b768e6d45c0b13ccafa4b3d155",
+        "classify": "2ec112a803808ce3c3c983b45374351977ec42b768e6d45c0b13ccafa4b3d155",
+    },
+    "thin-triangle-1e6": {
+        "width": "a5950de8ed67853e4e4940ba373c3913d975367e30db56e58825a034925a10fd",
+        "lattice-size": "4df4da126b6cf8a9cc32f431d7fc707f0ba0202a0f064e0794005a43cce2b19a",
+        "minimal": "c194681fc3b420964a1832ce31049f3fdff876aef7ee155e30b9ad4f16a326fc",
+        "classify": "1e6761408ab9a0efb702570d79c4adc9f28c4109c2700f417da4f527f2c93f8e",
+    },
+    "square-1e6": {
+        "width": "b01427767ab45a4abafdecdd0c69a51ba74aa879a8fd9855503aeebbf69fe387",
+        "lattice-size": "64cc7353492180779981f45501e2cca797a98645536ecb5a207d8609114ad7a6",
+        "minimal": "e8390495ae0754f5aead4dc86fc0408ccfc3eb1f1ec981fcd6146260eb850b65",
+        "classify": "e8390495ae0754f5aead4dc86fc0408ccfc3eb1f1ec981fcd6146260eb850b65",
+    },
+    "upsilon-1000": {
+        "width": "332e54a42b1bb3392aba853dbe69a027d3c0f7c1a38718de5524292c1e48eabf",
+        "lattice-size": "7c36ed7ef6a7463fe25d933082bba891c9a1c299d8ddb1e3d4486e87e3ba9703",
+        "minimal": "310b93306c40f073f07b92ff21a82fd47545802034087f5d10c6ed81ad518b60",
+    },
+    "t5-image": {
+        "width": "56ba37830e2cb512bc2f4c3d06d96c4b580c572eb751a53dbc700abbea27025b",
+        "lattice-size": "9ad6b64992833e1cde20673fef490eaa1f0f9d1e503e56a179e10c0d9edec2e7",
+        "minimal": "ece3b82608fe90f338b1811eefc6963533a6af3e349925114e19618df5abac09",
+        "classify": "f865e5c1539729a22f60ae940feed23da5a7129658cffceb7452dad90ba9088d",
+    },
+    "hull-a": {
+        "width": "25c2741c0fb366da15f3d3cc613198eac69d5bed2ec8e350dcd666022ae301c7",
+        "lattice-size": "7f4a7adc4fa51d79b509c8760d877cd231e6acca74a592eef854faf516b4c608",
+        "minimal": "92ad635c4d70587a63c8fca49457a3590e52bb09d8c82e8454a303e80bb148f1",
+        "classify": "92ad635c4d70587a63c8fca49457a3590e52bb09d8c82e8454a303e80bb148f1",
+    },
+    "hull-b": {
+        "width": "ee4984b179623deab039d1f012cc3951bd74db15bacb32f1e115a2b70c9dc568",
+        "lattice-size": "5ddc8a28afa860116b01b52366cc474903be356fcfe314918d3e8c51995f28a3",
+        "minimal": "c6caeb970adf221988e7a63efa001c6f313be8593f665faa63ebaac760b77d9d",
+        "classify": "c6caeb970adf221988e7a63efa001c6f313be8593f665faa63ebaac760b77d9d",
+    },
+    "hull-c": {
+        "width": "f2829938dbdfb3696836bfeaa0b14c94e95217dc1e00a37ba2146c6a4cc8b94d",
+        "lattice-size": "1dde9139869aa6a48a6992262b6a0c8641cff9415c5bd347ebcd211fec62e484",
+        "minimal": "27f8f2e74319a4c587cccef1759e3ae128c0b661d0a18b87559cacb3b01b3a43",
+    },
+    "hull-d": {
+        "width": "a67893532235981816b30af83197fa60f2d361a83ee86642e0f76eb58334a783",
+        "lattice-size": "be16c1000046e03c48c5631db1e13df512a68161cca64bee10c4c3c50b8b66ff",
+        "minimal": "32336b3a376f1b1f9bb9f26b4b78a0151207ccb5672e927d7bcc4d3283e9c68c",
+        "classify": "32336b3a376f1b1f9bb9f26b4b78a0151207ccb5672e927d7bcc4d3283e9c68c",
+    },
+    "hull-e": {
+        "width": "ad82033156fafe4d0dd69f9c3f7559503d4b72c09f34e48247036a944b49792b",
+        "lattice-size": "b150c54dfdf454453e465657070f60d9ba987d6df3018d4f635aae5c7725ea3e",
+        "minimal": "daefc9d07d1fbc9313f773c29f1e4266166eeca20cab746c2c9421e7c5e31cf3",
+    },
+    "hull-f": {
+        "width": "25c2741c0fb366da15f3d3cc613198eac69d5bed2ec8e350dcd666022ae301c7",
+        "lattice-size": "feffd542ecbce9ec56501dc5638227b460a8f53c9f7d8588001a269c5d800158",
+        "minimal": "7fe68c32989f6bbe848f9a69a81e94afcf4cf6b5149eb10dde82203313f64491",
+        "classify": "7fe68c32989f6bbe848f9a69a81e94afcf4cf6b5149eb10dde82203313f64491",
+    },
+}
+PLOT_SIMPLEX_SHA256 = {
+    (): "804cee36f6121893846e852c7d4ad0b1594832351fb9278e11a8af239b95bc63",
+    ('--hexagon', '2'): "8921ef18fe2bce55973a234beb50315827d01baaeaec30ae5e8a23b49a49426d",
+}
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [(name, command) for name, pins in POLYGON_COMMAND_SHA256.items() for command in pins],
+)
+def test_polygon_command_output_bytes_are_pinned(capsys, tmp_path, name, command):
+    f = write_polygon(tmp_path / f"{name}.json", PINNED_POLYGONS[name])
+    code, out, err = run(capsys, command, f)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == POLYGON_COMMAND_SHA256[name][command]
+
+
+@pytest.mark.parametrize("extra", sorted(PLOT_SIMPLEX_SHA256))
+def test_plot_output_bytes_are_pinned(capsys, tmp_path, extra):
+    simplex = write_polygon(tmp_path / "t.json", [[0, 0], [3, 0], [0, 3]])
+    code, out, err = run(capsys, "plot", simplex, *extra)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PLOT_SIMPLEX_SHA256[extra]
+
+
 def test_plot_hexagon_range(capsys, tmp_path):
     simplex = write_polygon(tmp_path / "t.json", [[0, 0], [3, 0], [0, 3]])
     code, _, err = run(capsys, "plot", simplex, "--hexagon", "9")
@@ -313,6 +443,11 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     code, _, err = run(capsys, "width", str(garbage))
     assert code == 2
 
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"vertices": [[0, 0], [1, 2], [2, 1]]} \xe9'.encode("latin-1"))
+    code, out, err = run(capsys, "width", str(latin1))
+    assert code == 2 and out == "" and err.startswith(f"error: cannot read {latin1}")
+
     huge = write_polygon(tmp_path / "huge.json", [[0, 0], [2_000_000, 1]])
     code, _, err = run(capsys, "width", huge)
     assert code == 2 and "magnitude" in err
@@ -320,6 +455,37 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     booleans = write_polygon(tmp_path / "bool.json", [[True, False], [0, 3], [3, 0]])
     code, out, err = run(capsys, "width", booleans)
     assert code == 2 and out == "" and "bad vertex entry" in err
+
+
+@pytest.mark.parametrize("target", ["missing-dir/out.json", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["width", "{polygon}"],
+        ["lattice-size", "{polygon}"],
+        ["minimal", "{polygon}"],
+        ["classify", "{polygon}"],
+        ["enumerate", "1"],
+        ["verify", "1"],
+        ["plot", "{polygon}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_exits_2(capsys, tmp_path, ups1_file, argv, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, *[a.format(polygon=ups1_file) for a in argv], "-o", str(path))
+    assert code == 2 and err.startswith(f"error: cannot write {path}")
+    # verify prints its check lines before it writes the reports
+    assert (out != "") == (argv[0] == "verify")
+
+
+def test_io_failures_print_no_traceback(tmp_path, ups1_file):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff\xfe")
+    for argv in (["minimal", str(latin1)], ["minimal", ups1_file, "-o", str(tmp_path)]):
+        done = _cli_process(*argv)
+        assert done.returncode == 2 and done.stdout == "", argv
+        assert done.stderr.startswith("error: cannot ") and "Traceback" not in done.stderr, argv
 
 
 def test_oracle_needs_small_width(capsys):
@@ -413,8 +579,8 @@ def test_classify_tests_minimality_once(capsys, monkeypatch, tmp_path, ups1_file
 
 
 def test_classify_rejects_too_wide_before_building_a_class_table(capsys, monkeypatch, ups1_file):
-    # a stubbed report stands in for a minimal polygon of width 1001, whose
-    # real minimality test takes seconds
+    # a stubbed report stands in for a minimal polygon of width 1001; a real
+    # one, such as upsilon(1001), passes its minimality test in under 0.1 ms
     monkeypatch.setattr(cli, "is_minimal", lambda p: MinimalityReport(True, None, 1001))
 
     def no_table(d):

@@ -1,15 +1,15 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+module-level function and class of the library is exported or used."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    path
-    for path in (Path(__file__).resolve().parents[1] / "src" / "latwidth").glob("*.py")
-    if path.name != "__init__.py"
-)
+import latwidth
+
+LIBRARY = Path(__file__).resolve().parents[1] / "src" / "latwidth"
+MODULES = sorted(path for path in LIBRARY.glob("*.py") if path.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +36,40 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(sources: dict[str, str], exported) -> list[str]:
+    """Module-level functions and classes that are not exported and that no
+    source names, reads as an attribute or imports."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and node.name not in referenced
+    )
+
+
+def test_scan_flags_a_dead_definition():
+    sources = {
+        "a": "def public(): pass\ndef _imported(): pass\ndef _read(): pass\n"
+        "def _dead(): pass\nclass Gone: pass\n",
+        "b": "from a import _imported\nimport a\na._read\n",
+    }
+    assert dead_definitions(sources, exported={"public"}) == ["a: Gone", "a: _dead"]
+
+
+def test_no_dead_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in LIBRARY.glob("*.py")}
+    assert dead_definitions(sources, set(latwidth.__all__)) == []

@@ -1,4 +1,5 @@
 from latwidth import (
+    SizeResult,
     UnimodularMap,
     apply_map,
     convex_hull,
@@ -13,7 +14,7 @@ from latwidth import (
     width_in_direction,
 )
 from latwidth.core import _xgcd, cross, dot
-from latwidth.width import _directions_within, _reduced_basis
+from latwidth.width import _directions_within, _reduced_basis, _witness_from_rows
 from conftest import (
     naive_lattice_width,
     random_hull,
@@ -187,6 +188,35 @@ def test_width_and_size_match_the_region_scan(rng):
         assert lattice_width(p) == region_scan_width(p), p.vertices
         assert lattice_size_square(p) == region_scan_size(p), p.vertices
     assert count == 9024 + 3000 + 300
+
+
+
+def _pair_loop_size(p):
+    """Lattice size of a 2-dimensional p with the witness of the pair loop
+    that scans every v of the listing, each against every w, for the first
+    pair with |det| = 1."""
+    basis = _reduced_basis(p)
+    candidates = _directions_within(p, basis, basis[3])
+    for v in candidates:
+        for w in candidates:
+            if abs(cross(v, w)) == 1:
+                return SizeResult(basis[3], _witness_from_rows(p, v, w))
+    raise AssertionError("no unimodular pair among the directions of width at most lambda2")
+
+
+def test_size_witness_matches_the_pair_loop(rng):
+    # the first direction of the listing always has a unimodular partner,
+    # so the pair loop never passes it
+    n = 1_000_000
+    corpus = [
+        convex_hull([(0, 0), (n - 1, n - 2), (n, n - 1)]),
+        convex_hull([(0, 0), (n, 0), (n, n), (0, n)]),
+        upsilon(1000),
+    ]
+    corpus += [random_polygon(rng, span=span) for span in (2, 5, 12, 40) for _ in range(500)]
+    corpus += [random_large_image(rng, random_polygon(rng, span=5)) for _ in range(300)]
+    for p in corpus:
+        assert lattice_size_square(p) == _pair_loop_size(p), p.vertices
 
 
 def test_listing_matches_the_region_scan(rng):
