@@ -15,7 +15,7 @@ from .classify import (
     generate,
     is_inscribed_in_hexagon,
 )
-from .core import OutOfRange, apply_map, convex_hull
+from .core import OutOfRange, polygon_from_cycle
 from .width import lattice_size_square, lattice_width
 
 
@@ -80,6 +80,8 @@ def verify_width(
     width directions is ``four_direction_quadrangle(d)``; every T3..T5 class
     is inscribed in the hexagon of its shoulder; and with ``oracle``
     (d <= BRUTE_FORCE_LIMIT) the class keys are those of the brute force.
+    The three structure properties are checked in one pass over the
+    classes, on one polygon per class.
     """
     classes = enumerate_minimal(d)
     checks = []
@@ -96,31 +98,27 @@ def verify_width(
             checks.append((name, passed, detail, rep))
 
     if d >= 1:
-        good = True
+        quad = four_direction_quadrangle(d) if d % 2 == 0 else None
+        rigid = quad is None or len(lattice_width(quad).directions) == 4
+        sized = inscribed = True
+        hex_count = 0
         for c in classes:
-            p = convex_hull(c.canonical.vertices)
+            p = polygon_from_cycle(c.canonical.vertices)
             size = lattice_size_square(p)
-            q = apply_map(size.witness, p)
-            if size.size != d or not all(0 <= x <= d and 0 <= y <= d for x, y in q.vertices):
-                good = False
-                break
-        checks.append(("lattice-size-equals-width", good, f"classes={len(classes)}", None))
-
-        if d % 2 == 0 and d >= 2:
-            quad = four_direction_quadrangle(d)
-            good = len(lattice_width(quad).directions) == 4
-            for c in classes:
-                p = convex_hull(c.canonical.vertices)
-                if len(lattice_width(p).directions) >= 4:
-                    good = good and are_equivalent(p, quad) is not None
-            checks.append(("four-direction-rigidity", good, "", None))
-
-        hex_classes = [c for c in classes if "l" in c.params.as_dict()]
-        good = all(
-            is_inscribed_in_hexagon(generate(c.params), d, c.params["l"])
-            for c in hex_classes
-        )
-        checks.append(("hexagon-inscription", good, f"classes={len(hex_classes)}", None))
+            sized = sized and size.size == d and all(
+                0 <= x <= d and 0 <= y <= d for x, y in map(size.witness.apply, p.vertices)
+            )
+            # right after the size, so the reduction memo serves the width
+            if quad is not None and len(lattice_width(p).directions) >= 4:
+                rigid = rigid and are_equivalent(p, quad) is not None
+            l = c.params.as_dict().get("l")
+            if l is not None:
+                hex_count += 1
+                inscribed = inscribed and is_inscribed_in_hexagon(generate(c.params), d, l)
+        checks.append(("lattice-size-equals-width", sized, f"classes={len(classes)}", None))
+        if quad is not None:
+            checks.append(("four-direction-rigidity", rigid, "", None))
+        checks.append(("hexagon-inscription", inscribed, f"classes={hex_count}", None))
 
     if oracle:
         oracle_keys = {c.key for c in brute_force_minimal(d)}

@@ -24,8 +24,6 @@ from .core import (
     Polygon,
     UnimodularMap,
     Vec,
-    contains_point,
-    contains_polygon,
     convex_hull,
     doubled_area,
     lattice_point_count,
@@ -199,20 +197,25 @@ def hexagon(d: int, l: int) -> Polygon:
 
 
 def is_inscribed_in_hexagon(p: Polygon, d: int, l: int) -> bool:
-    """Whether p sits inside the hexagon with every hexagon side touched by a
-    lattice point of p.
+    """Whether p sits inside the hexagon (d, l) with every hexagon side of
+    positive lattice length touched by a lattice point of p.
 
-    Only p's vertices need testing: when p lies inside the hexagon, p meets
-    the line of a side in a face of p inside that side, and the face's
+    The hexagon is 0 <= x, y <= d with l - d <= x - y <= l.  Its sides lie
+    on y = 0, x - y = l, x = d, y = d, x - y = l - d and x = 0, in
+    counterclockwise order, with lattice lengths l, d - l, l, d - l, l and
+    d - l; at l = 0 or l = d three of them shrink to corners and the
+    hexagon is a triangle.  Only p's vertices need testing: a linear
+    function on p is bounded by its values at the vertices, and when p lies
+    inside the hexagon, a side's line meets p in a face of p whose
     endpoints are vertices of p."""
-    h = hexagon(d, l)
-    if not contains_polygon(h, p):
-        return False
-    for side in h.edges():
-        segment = Polygon(tuple(sorted(side)))
-        if not any(contains_point(segment, q) for q in p.vertices):
-            return False
-    return True
+    if d < 0 or not 0 <= l <= d:
+        raise ParamOutOfRange("need 0 <= l <= d")
+    # per vertex, the slack of each side's inequality, in the order above
+    slacks = [(y, l - x + y, d - x, d - y, x - y + d - l, x) for x, y in p.vertices]
+    return all(
+        low >= 0 and (low == 0 or length == 0)
+        for low, length in zip(map(min, zip(*slacks)), (l, d - l) * 3)
+    )
 
 
 def four_direction_quadrangle(d: int) -> Polygon:

@@ -43,7 +43,7 @@ def _read_polygon(path: str) -> Polygon:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         p = polygon_from_json(text)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise CliError(f"{path}: {exc}") from exc
     for x, y in p.vertices:
         if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:

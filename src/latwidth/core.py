@@ -153,29 +153,6 @@ def doubled_area(p: Polygon) -> int:
     return s  # counterclockwise cycle, so the sum is already nonnegative
 
 
-def contains_point(p: Polygon, q: Vec) -> bool:
-    """Whether q lies inside or on the boundary of p."""
-    vs = p.vertices
-    if len(vs) == 1:
-        return q == vs[0]
-    if len(vs) == 2:
-        a, b = vs
-        if cross(sub(b, a), sub(q, a)) != 0:
-            return False
-        return (
-            min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1])
-        )
-    for a, b in p.edges():
-        if cross(sub(b, a), sub(q, a)) < 0:
-            return False
-    return True
-
-
-def contains_polygon(outer: Polygon, inner: Polygon) -> bool:
-    return all(contains_point(outer, v) for v in inner.vertices)
-
-
 def lattice_points(p: Polygon) -> frozenset[Vec]:
     """All lattice points inside or on p, column by column.
 

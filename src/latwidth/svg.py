@@ -2,7 +2,9 @@
 square, and optionally the circumscribing hexagon.
 
 Byte-stable output for fixed input: fixed 40 px lattice pitch, 30% polygon
-fill opacity, 6-3 dash pattern for the hexagon.
+fill opacity, 6-3 dash pattern for the hexagon.  The drawing has one grid
+dot per lattice point of its box, so a box side over ``MAX_SIDE`` lattice
+units is rejected before anything is drawn.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .classify import hexagon
-from .core import Polygon, lattice_points
+from .core import OutOfRange, Polygon, lattice_points
 from .width import lattice_width
 
 PITCH = 40
 MARGIN = 1  # lattice units around the drawing
+MAX_SIDE = 200  # lattice units, margins included: at most 201^2 grid dots
 
 
 def render_figure(p: Polygon, hexagon_l: Optional[int] = None) -> str:
@@ -30,6 +33,9 @@ def render_figure(p: Polygon, hexagon_l: Optional[int] = None) -> str:
     ys = [y for shape in shapes for _, y in shape]
     x_lo, x_hi = min(xs) - MARGIN, max(xs) + MARGIN
     y_lo, y_hi = min(ys) - MARGIN, max(ys) + MARGIN
+    side = max(x_hi - x_lo, y_hi - y_lo)
+    if side > MAX_SIDE:
+        raise OutOfRange(f"the drawing box side {side} exceeds {MAX_SIDE} lattice units")
 
     def px(q):
         return (q[0] - x_lo) * PITCH, (y_hi - q[1]) * PITCH

@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import functools
 import random
 
 import numpy as np
@@ -20,6 +21,7 @@ from latwidth import (
     doubled_area,
     drop_vertex,
     generate,
+    hexagon,
     is_minimal,
     iter_type_params,
     lattice_point_count,
@@ -307,6 +309,38 @@ def is_minimal_oracle(p: Polygon) -> MinimalityReport:
         if remainder.dimension == 2 and _reduced_basis(remainder, (b1, b2))[1] >= d:
             return MinimalityReport(False, v, d)
     return MinimalityReport(True, None, d)
+
+
+def _contains_point(p: Polygon, q) -> bool:
+    # whether q lies inside or on the boundary of p
+    vs = p.vertices
+    if len(vs) == 1:
+        return q == vs[0]
+    if len(vs) == 2:
+        a, b = vs
+        if cross(sub(b, a), sub(q, a)) != 0:
+            return False
+        return (
+            min(a[0], b[0]) <= q[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= q[1] <= max(a[1], b[1])
+        )
+    return all(cross(sub(b, a), sub(q, a)) >= 0 for a, b in p.edges())
+
+
+@functools.cache
+def _hexagon_and_sides(d: int, l: int) -> tuple:
+    h = hexagon(d, l)
+    return h, [Polygon(tuple(sorted(side))) for side in h.edges()]
+
+
+def inscription_oracle(p: Polygon, d: int, l: int) -> bool:
+    """Whether every vertex of p is in the hull ``hexagon(d, l)`` and each
+    edge of that hull, as a closed segment, holds a vertex of p; the
+    reference for the six inequalities of ``is_inscribed_in_hexagon``."""
+    h, sides = _hexagon_and_sides(d, l)
+    if not all(_contains_point(h, v) for v in p.vertices):
+        return False
+    return all(any(_contains_point(side, q) for q in p.vertices) for side in sides)
 
 
 def random_hull(rng: random.Random, span: int = 8) -> Polygon:

@@ -12,6 +12,8 @@ from latwidth import (
     canonical_form,
     classify_polygon,
     convex_hull,
+    doubled_area,
+    doubled_volume_bound,
     enumerate_minimal,
     enumerate_minimal_with_stats,
     four_direction_quadrangle,
@@ -20,13 +22,22 @@ from latwidth import (
     is_inscribed_in_hexagon,
     is_minimal,
     iter_convex_polygons,
+    iter_full_width_polygons,
     iter_type_params,
+    lattice_point_count,
     lattice_width,
+    point_bound,
     upsilon,
 )
 import latwidth.classify as classify_module
 from latwidth.classify import TAGS, _family_points, _hexagon_rotation, _orbit_keys, _point_key
-from conftest import enumerate_minimal_oracle, naive_lattice_points, random_unimodular
+from conftest import (
+    enumerate_minimal_oracle,
+    inscription_oracle,
+    naive_lattice_points,
+    random_hull,
+    random_unimodular,
+)
 
 # class counts fixed by the brute-force oracle ahead of the enumerator build
 GOLDEN_CLASS_COUNTS = {0: 1, 1: 1, 2: 4, 3: 7, 4: 22}
@@ -153,6 +164,33 @@ def test_inscription_matches_the_lattice_point_definition(rng):
     assert min(checked.values()) > 50
 
 
+def test_inscription_matches_the_hull_oracle(rng):
+    # every polygon with box exactly [0, D]^2 for D <= 4, in every hexagon
+    # (d, l) with d <= D + 1, then random hulls around the origin, then
+    # every family polygon with d <= 8, in every hexagon of its width
+    cases = [
+        (p, d, l)
+        for box in range(1, 5)
+        for p in iter_convex_polygons(box)
+        for d in range(box + 2)
+        for l in range(d + 1)
+    ]
+    for _ in range(20_000):
+        d = rng.randint(0, 6)
+        cases.append((random_hull(rng, span=3), d, rng.randint(0, d)))
+    for d in range(9):
+        for params in iter_type_params(d):
+            p = generate(params)
+            cases.extend((p, d, l) for l in range(d + 1))
+    assert len(cases) == 294_534
+    outcomes = {True: 0, False: 0}
+    for p, d, l in cases:
+        expected = inscription_oracle(p, d, l)
+        assert is_inscribed_in_hexagon(p, d, l) == expected, (p.vertices, d, l)
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 5_000, outcomes
+
+
 def test_four_direction_quadrangle():
     assert set(four_direction_quadrangle(2).vertices) == {(1, 0), (0, 1), (1, 2), (2, 1)}
     assert set(four_direction_quadrangle(4).vertices) == {(2, 0), (0, 2), (2, 4), (4, 2)}
@@ -203,6 +241,37 @@ def test_oracle_equivalence_fast(d):
     enum_counts = {c.key: c.point_count for c in enumerate_minimal(d)}
     oracle_counts = {c.key: c.point_count for c in brute_force_minimal(d)}
     assert enum_counts == oracle_counts
+
+
+# polygons in the width-d universe and minimal classes among them
+BEYOND_THE_CAP = {5: (77_453, 47), 6: (665_669, 126)}
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        5,
+        pytest.param(6, marks=pytest.mark.skipif(
+            not os.environ.get("LATWIDTH_SLOW"),
+            reason="searching width 6 takes about 30 s; set LATWIDTH_SLOW=1 to run",
+        )),
+    ],
+)
+def test_enumerator_matches_the_search_beyond_the_oracle_cap(d):
+    # the brute-force search of brute_force_minimal, driven from here so its
+    # cap stays; the classes must be the enumerator's, with the same point
+    # counts and areas, and must reach both sharp bounds
+    polygons = 0
+    found = {}
+    for p in iter_full_width_polygons(d):
+        polygons += 1
+        if is_minimal(p).is_minimal:
+            key = canonical_form(p).byte_key
+            found.setdefault(key, (lattice_point_count(p), doubled_area(p)))
+    assert (polygons, len(found)) == BEYOND_THE_CAP[d]
+    assert found == {c.key: (c.point_count, c.doubled_area) for c in enumerate_minimal(d)}
+    assert max(count for count, _ in found.values()) == point_bound(d)
+    assert min(area for _, area in found.values()) == doubled_volume_bound(d)
 
 
 def test_brute_force_guard():

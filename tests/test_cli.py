@@ -12,6 +12,7 @@ import latwidth.cli as cli
 import latwidth.classify as classify_module
 from latwidth.cli import main
 from latwidth.minimal import MinimalityReport, is_minimal
+from latwidth.svg import MAX_SIDE
 
 
 def write_polygon(path, vertices):
@@ -427,6 +428,24 @@ def test_plot_output_bytes_are_pinned(capsys, tmp_path, extra):
     assert hashlib.sha256(out.encode()).hexdigest() == PLOT_SIMPLEX_SHA256[extra]
 
 
+@pytest.mark.parametrize(
+    ("far", "code"),
+    [(MAX_SIDE - 2, 0), (MAX_SIDE - 1, 2), (cli.COORD_LIMIT, 2)],
+    ids=["at-the-cap", "past-the-cap", "coordinate-limit"],
+)
+def test_plot_box_side_is_capped(tmp_path, far, code):
+    # conv{(0,0),(far,0),(0,1)} has width 1, so its drawing box, margins
+    # included, has the side far + 2; a side past the cap exits 2 at once
+    thin = write_polygon(tmp_path / "thin.json", [[0, 0], [far, 0], [0, 1]])
+    done = _cli_process("plot", thin, "--hexagon", "1")
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert done.stdout.startswith("<?xml") and done.stderr == ""
+    else:
+        assert done.stdout == ""
+        assert done.stderr == f"error: the drawing box side {far + 2} exceeds {MAX_SIDE} lattice units\n"
+
+
 def test_plot_hexagon_range(capsys, tmp_path):
     simplex = write_polygon(tmp_path / "t.json", [[0, 0], [3, 0], [0, 3]])
     code, _, err = run(capsys, "plot", simplex, "--hexagon", "9")
@@ -456,6 +475,12 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     code, out, err = run(capsys, "width", booleans)
     assert code == 2 and out == "" and "bad vertex entry" in err
 
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)  # nested past the decoder's recursion limit
+    code, out, err = run(capsys, "width", str(deep))
+    assert code == 2 and out == "" and err.startswith(f"error: {deep}: ")
+    assert err.count("\n") == 1
+
 
 @pytest.mark.parametrize("target", ["missing-dir/out.json", "."], ids=["missing-dir", "directory"])
 @pytest.mark.parametrize(
@@ -482,10 +507,16 @@ def test_unwritable_output_exits_2(capsys, tmp_path, ups1_file, argv, target):
 def test_io_failures_print_no_traceback(tmp_path, ups1_file):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b"\xff\xfe")
-    for argv in (["minimal", str(latin1)], ["minimal", ups1_file, "-o", str(tmp_path)]):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for argv, prefix in (
+        (["minimal", str(latin1)], "error: cannot read "),
+        (["minimal", ups1_file, "-o", str(tmp_path)], "error: cannot write "),
+        (["width", str(deep)], f"error: {deep}: "),
+    ):
         done = _cli_process(*argv)
         assert done.returncode == 2 and done.stdout == "", argv
-        assert done.stderr.startswith("error: cannot ") and "Traceback" not in done.stderr, argv
+        assert done.stderr.startswith(prefix) and "Traceback" not in done.stderr, argv
 
 
 def test_oracle_needs_small_width(capsys):

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module-level function and class of the library is exported or used."""
+"""Every name a library module imports is used in that module, every
+module-level function and class of the library is exported or used, and no
+library module uses an ``assert`` statement."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,20 @@ def test_scan_flags_a_dead_definition():
 def test_no_dead_definitions():
     sources = {path.name: path.read_text(encoding="utf-8") for path in LIBRARY.glob("*.py")}
     assert dead_definitions(sources, set(latwidth.__all__)) == []
+
+
+def assert_statements(source: str) -> list[int]:
+    """Line numbers of the ``assert`` statements: ``python -O`` strips them,
+    so a library invariant must raise instead."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_scan_flags_an_assert():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'negative'\n    return x\n"
+    assert assert_statements(source) == [3]
+    assert assert_statements("def assert_ok(x):\n    raise ValueError(x)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(LIBRARY.glob("*.py")), ids=lambda path: path.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text(encoding="utf-8")) == []
