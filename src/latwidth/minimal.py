@@ -84,16 +84,25 @@ def _cleared(vs: tuple[Vec, ...], basis: tuple[Vec, int, Vec, int]) -> set[Vec]:
     """The vertices of the cycle vs at which <., u> has a strict local
     maximum or minimum, both neighbours strictly lower or both strictly
     higher, for a width direction u of the reduced basis (b1, d, b2, n2):
-    b1, and b2 when n2 = d."""
+    b1, and b2 when n2 = d.
+
+    One pass per direction walks the cycle from its last vertex, carrying
+    the heights a and b of the two vertices before the current one, so the
+    vertex u of height b is tested against both neighbours without a list
+    of heights."""
     b1, d, b2, n2 = basis
-    n = len(vs)
     found = set()
     for ux, uy in (b1, b2) if n2 == d else (b1,):
-        h = [x * ux + y * uy for x, y in vs]
-        for i in range(n):
-            a, b, c = h[i - 1], h[i], h[(i + 1) % n]
+        x, y = vs[-2]
+        a = x * ux + y * uy
+        u = vs[-1]
+        b = u[0] * ux + u[1] * uy
+        for v in vs:
+            x, y = v
+            c = x * ux + y * uy
             if (a < b > c) or (a > b < c):
-                found.add(vs[i])
+                found.add(u)
+            a, b, u = b, c, v
     return found
 
 

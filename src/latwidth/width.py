@@ -60,12 +60,26 @@ class SizeResult:
 
 def width_in_direction(p: Polygon, v: Vec) -> int:
     """Spread of <P, v> over the polygon's vertices (v nonzero; primitive
-    directions are the canonical inputs, but any integer vector works)."""
-    if v == (0, 0):
-        raise ZeroVector("width direction must be nonzero")
+    directions are the canonical inputs, but any integer vector works).
+
+    One pass over the vertices keeps the running lowest and highest product
+    and builds no list: this is the width norm N that every reduction
+    evaluates, and for the few vertices of a typical polygon a temporary
+    list and calls to ``max`` and ``min`` would cost more than the
+    arithmetic."""
     vx, vy = v
-    products = [x * vx + y * vy for x, y in p.vertices]
-    return max(products) - min(products)
+    if not (vx or vy):
+        raise ZeroVector("width direction must be nonzero")
+    vs = p.vertices
+    x, y = vs[0]
+    lo = hi = x * vx + y * vy
+    for x, y in vs:
+        h = x * vx + y * vy
+        if h < lo:
+            lo = h
+        elif h > hi:
+            hi = h
+    return hi - lo
 
 
 def normalize_sign(v: Vec) -> Vec:

@@ -92,6 +92,14 @@ def naive_lattice_width(p: Polygon, factor: int = 4):
     return best, {(int(vx[i]), int(vy[i])) for i in idx}
 
 
+def spread_oracle(p: Polygon, v) -> int:
+    """The spread of <P, v> over the vertices from a list of every product
+    and ``max`` and ``min``; the reference for the one-pass
+    ``width_in_direction``."""
+    products = [x * v[0] + y * v[1] for x, y in p.vertices]
+    return max(products) - min(products)
+
+
 def _axis_widths(p: Polygon) -> tuple[int, int]:
     xs = [v[0] for v in p.vertices]
     ys = [v[1] for v in p.vertices]
@@ -309,6 +317,23 @@ def is_minimal_oracle(p: Polygon) -> MinimalityReport:
         if remainder.dimension == 2 and _reduced_basis(remainder, (b1, b2))[1] >= d:
             return MinimalityReport(False, v, d)
     return MinimalityReport(True, None, d)
+
+
+def cleared_oracle(vs, basis) -> set:
+    """The vertices i of the cycle vs whose heights h[i - 1], h[i],
+    h[(i + 1) % n] along b1, and along b2 when N(b2) = N(b1), make a strict
+    local maximum or minimum, read from a list of heights by index; the
+    reference for the carried-heights scan of ``minimal._cleared``."""
+    b1, d, b2, n2 = basis
+    n = len(vs)
+    found = set()
+    for ux, uy in (b1, b2) if n2 == d else (b1,):
+        h = [x * ux + y * uy for x, y in vs]
+        for i in range(n):
+            a, b, c = h[i - 1], h[i], h[(i + 1) % n]
+            if (a < b > c) or (a > b < c):
+                found.add(vs[i])
+    return found
 
 
 def _contains_point(p: Polygon, q) -> bool:

@@ -25,6 +25,7 @@ from latwidth.core import cross, polygon_from_cycle
 from latwidth.minimal import _cleared, _convicted
 from latwidth.width import _reduced_basis
 from conftest import (
+    cleared_oracle,
     drop_vertex_oracle,
     is_minimal_oracle,
     naive_lattice_points,
@@ -200,6 +201,16 @@ def test_cleared_vertices_lose_width(minimality_corpus):
             cleared += 1
             assert lattice_width(drop_vertex(p, v)).width < basis[1], (p.vertices, v)
     assert cleared > 30_000
+
+
+def test_cleared_scan_matches_the_indexed_one(minimality_corpus):
+    # a vertex the carried-heights scan missed would only reach drop_vertex,
+    # never change a report, so compare the sets themselves
+    for p in minimality_corpus:
+        if p.dimension < 2:
+            continue
+        basis = _reduced_basis(p)
+        assert _cleared(p.vertices, basis) == cleared_oracle(p.vertices, basis), p.vertices
 
 
 def test_convicted_vertices_keep_width(minimality_corpus):

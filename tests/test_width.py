@@ -1,6 +1,9 @@
+import pytest
+
 from latwidth import (
     SizeResult,
     UnimodularMap,
+    ZeroVector,
     apply_map,
     convex_hull,
     drop_vertex,
@@ -24,6 +27,7 @@ from conftest import (
     region_scan_directions,
     region_scan_size,
     region_scan_width,
+    spread_oracle,
 )
 
 UPS1 = convex_hull([(0, 0), (1, 2), (2, 1)])
@@ -35,6 +39,39 @@ def test_width_in_direction_examples():
     assert width_in_direction(tri, (1, 0)) == 2
     assert width_in_direction(UPS1, (1, 1)) == 3
     assert width_in_direction(UPS1, (1, -1)) == 2
+
+
+def test_width_in_direction_matches_the_spread_oracle(rng):
+    # points, segments and polygons: small, spanning [-10^6, 10^6]^2, and
+    # small ones moved next to a corner (+-10^6, +-10^6); against primitive
+    # and non-primitive directions
+    checked = 0
+    for span, shift, reach in ((8, 0, 5), (10**6, 0, 1000), (8, 10**6, 1000)):
+        for _ in range(500):
+            p = random_hull(rng, span=span)
+            if shift:
+                sx, sy = rng.choice((-shift, shift)), rng.choice((-shift, shift))
+                p = convex_hull((x + sx, y + sy) for x, y in p.vertices)
+            for _ in range(4):
+                v = (rng.randint(-reach, reach), rng.randint(-reach, reach))
+                if v == (0, 0):
+                    continue
+                k = rng.randint(1, 6)
+                for u in (v, (k * v[0], k * v[1])):
+                    assert width_in_direction(p, u) == spread_oracle(p, u), (p.vertices, u)
+                    checked += 1
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize(
+    "p",
+    [convex_hull([(3, -4)]), convex_hull([(0, 0), (4, 2)]), SIMPLEX],
+    ids=["point", "segment", "polygon"],
+)
+@pytest.mark.parametrize("zero", [(0, 0), [0, 0]], ids=["tuple", "list"])
+def test_width_in_direction_rejects_the_zero_vector(p, zero):
+    with pytest.raises(ZeroVector):
+        width_in_direction(p, zero)
 
 
 def test_lattice_width_examples():
@@ -250,6 +287,9 @@ def test_listing_bisects_each_row(monkeypatch):
     monkeypatch.setattr(width_module, "width_in_direction", counting)
     found = _directions_within(p, basis, bound)
     assert found == [(0, 1), (1, 0)] + [(1, y) for y in range(1, 10**4 + 1)]
+    # the listing evaluates N through the module-level name, so the bound
+    # below counts every evaluation and cannot hold vacuously
+    assert calls
     rows = 2 * bound // basis[3]
     reach = (bound + rows * basis[3]) // basis[1]
     assert len(calls) <= rows * (4 * (2 * reach + 1).bit_length() + 1)
