@@ -21,12 +21,31 @@ b0 = cross(e, f) > 0; the shear x -> x - k*y with k = a0 // b0 then leaves
 (s, t) adds a multiple of (-ey, ex), which changes a0 by a multiple of b0
 and leaves a0 mod b0 alone.  The sheared linear part has the rows
 (s + k*ey, t - k*ex) and (-ey, ex), and the outgoing candidate is the same
-computation with e the outgoing and f the reversed incoming direction.  So
-one gcd and one extended gcd per edge price all 4n candidates.  Full
-sequences are built only for the candidates that tie on the second vertex,
-in plain integers, and the composed map only for the winner.  Ties keep the
-earliest candidate in the order (orientation, vertex, outgoing before
-incoming edge), which fixes the map ``classify`` prints as its witness.
+computation with e the outgoing and f the reversed incoming direction.
+The sheared rows do not depend on the solution (s, t) either: adding
+m*(-ey, ex) to (s, t) raises k by m and leaves (s + k*ey, t - k*ex) as it
+was.
+
+The mirror image under (x, y) -> (x, -y) runs the cycle backwards, so its
+edges are p's edges in reverse order, each mirrored and reversed: the edge
+(ex, ey) of lattice length g becomes (-ex, ey) with the same g, and
+(-s)*(-ex) + t*ey = 1.  Since the sheared rows do not depend on which
+solution is used, the mirror's table read off p's gives exactly the
+candidates its own gcds would give.  So one gcd and one extended gcd per
+edge of p price all 4n candidates.
+
+The candidates that tie on the second vertex are then told apart one
+vertex position at a time.  At position j each survivor's j-th vertex is
+computed, and only those equal to the smallest stay.  Every sequence has n
+vertices, and the survivors agree up to position j - 1, so after position j
+they are exactly the candidates whose first j + 1 vertices form the
+smallest prefix.  The filter stops when one is left, and only that one gets
+its full sequence, in plain integers, and its map.  The filter keeps the
+survivors in candidate order, so when several candidates give the same
+sequence it keeps the earliest in the order (orientation, vertex, outgoing
+before incoming edge), as a comparison of full sequences would.  That
+fixes the map ``classify`` prints as its witness.  ``canonical_form``
+needs no map and composes none.
 """
 
 from __future__ import annotations
@@ -46,7 +65,6 @@ from .core import (
     compose_maps,
     invert_map,
     make_primitive,
-    polygon_from_cycle,
     sub,
 )
 
@@ -74,27 +92,44 @@ def _matrix_sending_to_x_axis(e: Vec) -> UnimodularMap:
     return UnimodularMap(s, t, -e[1], e[0])
 
 
-def _candidates(q: Polygon) -> list[tuple[Vec, tuple[int, int, int, int]]]:
-    """For every vertex i of q, the outgoing edge before the incoming one:
-    the image of the vertex after i under the candidate's normalizing map,
-    and the map's linear part (a11, a12, a21, a22), in the closed form of
-    the module docstring.  The map itself sends vertex i to (0, 0)."""
-    vs = q.vertices
+def _orientations(p: Polygon) -> tuple[tuple[tuple[Vec, ...], list, UnimodularMap], ...]:
+    """The vertex cycle of p and of its mirror image under (x, y) -> (x, -y),
+    each with its edge table and the map from p.  Both cycles start at their
+    smallest vertex, as ``Polygon`` does.  Row i of a table is edge i, from
+    vertex i to vertex i + 1: its primitive direction (ex, ey), its lattice
+    length g, and (s, t) with s*ex + t*ey = 1.  The mirror's table is read
+    off p's, as the module docstring shows."""
+    vs = p.vertices
     n = len(vs)
-    edges = []  # primitive direction, lattice length and (s, t) of each outgoing edge
+    edges = []
     for i in range(n):
         (ax, ay), (bx, by) = vs[i], vs[(i + 1) % n]
         g = gcd(bx - ax, by - ay)
         ex, ey = (bx - ax) // g, (by - ay) // g
         r, s, t = _xgcd(ex, ey)  # r = +-1
         edges.append((ex, ey, g, r * s, r * t))
+    # the mirror runs the cycle backwards, from the image of vertex m
+    m = min(range(n), key=lambda i: (vs[i][0], -vs[i][1]))
+    mirrored = tuple((x, -y) for x, y in (vs[(m - j) % n] for j in range(n)))
+    mirrored_edges = [
+        (-ex, ey, g, -s, t) for ex, ey, g, s, t in (edges[(m - j - 1) % n] for j in range(n))
+    ]
+    return (vs, edges, IDENTITY_MAP), (mirrored, mirrored_edges, _MIRROR)
+
+
+def _candidates(edges: list[tuple[int, int, int, int, int]]) -> list[tuple[Vec, tuple[int, int, int, int]]]:
+    """For every vertex i of the cycle with this edge table, the outgoing
+    edge before the incoming one: the image of the vertex after i under
+    the candidate's normalizing map, and the map's linear part
+    (a11, a12, a21, a22), in the closed form of the module docstring.  The
+    map itself sends vertex i to (0, 0)."""
     out = []
-    for i in range(n):
+    for i in range(len(edges)):
         px, py, _, ps, pt = edges[i - 1]
         nx, ny, g, ns, nt = edges[i]
         b0 = px * ny - py * nx
         if b0 <= 0:
-            raise ValueError(f"{vs[i]} is not a convex counterclockwise corner")
+            raise ValueError(f"vertex {i} of the cycle is not a convex counterclockwise corner")
         # outgoing: e = (nx, ny), f = (-px, -py), and cross(e, f) = b0
         k = -(ns * px + nt * py) // b0
         out.append(((g, 0), (ns + k * ny, nt - k * nx, -ny, nx)))
@@ -105,10 +140,36 @@ def _candidates(q: Polygon) -> list[tuple[Vec, tuple[int, int, int, int]]]:
     return out
 
 
-def _mirrored(p: Polygon) -> Polygon:
-    # the image under (x, y) -> (x, -y): reversing the order restores the
-    # counterclockwise cycle
-    return polygon_from_cycle([(x, -y) for x, y in reversed(p.vertices)])
+def _smallest_candidate(p: Polygon):
+    """The smallest candidate sequence of a 2-dimensional p, with the linear
+    part of its normalizing map, the vertex that map sends to the origin,
+    and the orientation's map from p; the first such candidate on a full
+    tie."""
+    tied = []
+    smallest = None
+    for vs, edges, pre in _orientations(p):
+        for c, (second, matrix) in enumerate(_candidates(edges)):
+            if smallest is None or second < smallest:
+                smallest, tied = second, []
+            if second == smallest:
+                tied.append((matrix, vs, c // 2, pre))
+    n = len(p.vertices)
+    for j in range(2, n):
+        if len(tied) == 1:
+            break
+        images = []
+        for (a11, a12, a21, a22), vs, i, _ in tied:
+            (vx, vy), (x, y) = vs[i], vs[(i + j) % n]
+            images.append((a11 * (x - vx) + a12 * (y - vy), a21 * (x - vx) + a22 * (y - vy)))
+        low = min(images)
+        tied = [candidate for candidate, image in zip(tied, images) if image == low]
+    (a11, a12, a21, a22), vs, i, pre = tied[0]
+    vx, vy = vs[i]
+    seq = tuple(
+        (a11 * (x - vx) + a12 * (y - vy), a21 * (x - vx) + a22 * (y - vy))
+        for x, y in vs[i:] + vs[:i]
+    )
+    return seq, (a11, a12, a21, a22), (vx, vy), pre
 
 
 def _canonical_with_map(p: Polygon) -> tuple[CanonicalForm, UnimodularMap]:
@@ -123,32 +184,15 @@ def _canonical_with_map(p: Polygon) -> tuple[CanonicalForm, UnimodularMap]:
         ix, iy = m.apply(a)
         full = UnimodularMap(m.a11, m.a12, m.a21, m.a22, -ix, -iy)
         return CanonicalForm(((0, 0), (length, 0))), full
-    orientations = ((IDENTITY_MAP, p), (_MIRROR, _mirrored(p)))
-    rows = [_candidates(q) for _, q in orientations]
-    smallest = min(second for row in rows for second, _ in row)
-    # every candidate has n vertices, so comparing vertex by vertex orders
-    # them as their flattened coordinates would; ties keep the first
-    best = None
-    for (pre, q), row in zip(orientations, rows):
-        vs = q.vertices
-        for c, (second, matrix) in enumerate(row):
-            if second != smallest:
-                continue
-            a11, a12, a21, a22 = matrix
-            vx, vy = vs[c // 2]
-            seq = tuple(
-                (a11 * (x - vx) + a12 * (y - vy), a21 * (x - vx) + a22 * (y - vy))
-                for x, y in vs[c // 2:] + vs[:c // 2]
-            )
-            if best is None or seq < best[0]:
-                best = (seq, matrix, (vx, vy), pre)
-    seq, (a11, a12, a21, a22), (vx, vy), pre = best
+    seq, (a11, a12, a21, a22), (vx, vy), pre = _smallest_candidate(p)
     m = UnimodularMap(a11, a12, a21, a22, -(a11 * vx + a12 * vy), -(a21 * vx + a22 * vy))
     return CanonicalForm(seq), compose_maps(m, pre)
 
 
 def canonical_form(p: Polygon) -> CanonicalForm:
     """The class-invariant vertex sequence for p."""
+    if p.dimension == 2:
+        return CanonicalForm(_smallest_candidate(p)[0])
     return _canonical_with_map(p)[0]
 
 

@@ -339,7 +339,7 @@ def enumerate_minimal_with_stats(
     and every step after the form is unchanged.  Hence the classes, their
     representatives and the per-tag stats are the same as when every tuple
     is keyed afresh.  A polygon is built only for a memo miss or a new
-    class key.
+    class key, and once for a tuple that is both.
 
     T3..T5 with shoulder l lie in the hexagon (d, l), which has one more
     symmetry: the rotation rho_l(x, y) = (d - y, x - y + d - l).  Its
@@ -363,8 +363,10 @@ def enumerate_minimal_with_stats(
         stats.generated[tag] += 1
         points = _family_points(tag, d, values)
         form = forms.get(_point_key(points, d))
+        poly = None
         if form is None:
-            form = canonical_form(_family_polygon(points, d))
+            poly = _family_polygon(points, d)
+            form = canonical_form(poly)
             images = [points]
             if _FIELD_NAMES[tag][0] == "l":
                 images.append(_hexagon_rotation(points, d, values[0]))
@@ -376,7 +378,8 @@ def enumerate_minimal_with_stats(
         if key in classes:
             stats.duplicates[tag] += 1
             continue
-        poly = _family_polygon(points, d)
+        if poly is None:
+            poly = _family_polygon(points, d)
         report = is_minimal(poly)
         if not report.is_minimal:
             stats.non_minimal[tag] += 1

@@ -14,6 +14,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .bounds import verify_width
 from .classify import (
@@ -70,16 +71,36 @@ def _emit(text: str, path: str | None) -> None:
         raise CliError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
-def _class_json(cls) -> dict:
-    return {
-        "key": cls.key,
-        "tag": cls.params.tag if cls.params else None,
-        "d": cls.params.d if cls.params else None,
-        "params": cls.params.as_dict() if cls.params else None,
-        "point_count": cls.point_count,
-        "doubled_area": cls.doubled_area,
-        "vertices": [list(v) for v in cls.canonical.vertices],
-    }
+def _class_rows(classes) -> str:
+    """The text of ``json.dumps(rows, indent=2)`` for one row per class, the
+    object with the keys key, tag, d, params, point_count, doubled_area and
+    vertices; tag, d and params are null for a class without parameters.
+
+    The rows have this one fixed shape, so the layout is written out here
+    row by row instead of going through the pure-Python encoder that
+    ``indent`` selects.  Strings go through the encoder's own
+    ``encode_basestring_ascii``, and an int prints as ``str`` prints it."""
+    rows = []
+    for c in classes:
+        if c.params is None:
+            tag = d = params = "null"
+        else:
+            tag, d = encode_basestring_ascii(c.params.tag), c.params.d
+            params = "{" + ",".join(
+                f"\n      {encode_basestring_ascii(name)}: {value}" for name, value in c.params.values
+            ) + "\n    }"
+        vertices = ",".join(f"\n      [\n        {x},\n        {y}\n      ]" for x, y in c.canonical.vertices)
+        rows.append(
+            f'\n  {{\n    "key": {encode_basestring_ascii(c.key)},\n    "tag": {tag},\n    "d": {d},'
+            f'\n    "params": {params},\n    "point_count": {c.point_count},'
+            f'\n    "doubled_area": {c.doubled_area},\n    "vertices": [{vertices}\n    ]\n  }}'
+        )
+    return "[" + ",".join(rows) + "\n]" if rows else "[]"
+
+
+def _nested(text: str) -> str:
+    # a value's indent=2 text as it reads one level down in an indent=2 object
+    return text.replace("\n", "\n  ")
 
 
 def _report_json(rep: MinimalityReport) -> dict:
@@ -132,9 +153,8 @@ def cmd_enumerate(args) -> int:
     if args.oracle and d > BRUTE_FORCE_LIMIT:
         raise CliError(f"--oracle requires d <= {BRUTE_FORCE_LIMIT}")
     classes, stats = enumerate_minimal_with_stats(d)
-    class_array = [_class_json(c) for c in classes]
     if not args.oracle:
-        _emit(json.dumps(class_array, indent=2), args.output)
+        _emit(_class_rows(classes), args.output)
         return 0
     oracle = brute_force_minimal(d)
     keys = {c.key for c in classes}
@@ -143,13 +163,13 @@ def cmd_enumerate(args) -> int:
         "missing_from_enumerator": sorted(oracle_keys - keys),
         "extra_in_enumerator": sorted(keys - oracle_keys),
     }
-    payload = {
-        "classes": class_array,
-        "oracle": [_class_json(c) for c in oracle],
-        "diff": diff,
-        "duplicates_per_tag": dict(sorted(stats.duplicates.items())),
-    }
-    _emit(json.dumps(payload, indent=2), args.output)
+    fields = (
+        ("classes", _class_rows(classes)),
+        ("oracle", _class_rows(oracle)),
+        ("diff", json.dumps(diff, indent=2)),
+        ("duplicates_per_tag", json.dumps(dict(sorted(stats.duplicates.items())), indent=2)),
+    )
+    _emit("{" + ",".join(f'\n  "{name}": {_nested(text)}' for name, text in fields) + "\n}", args.output)
     return 0 if not diff["missing_from_enumerator"] and not diff["extra_in_enumerator"] else 1
 
 

@@ -20,9 +20,11 @@ from latwidth import (
     convex_hull,
     doubled_area,
     drop_vertex,
+    enumerate_minimal,
     generate,
     hexagon,
     is_minimal,
+    iter_full_width_polygons,
     iter_type_params,
     lattice_point_count,
     width_in_direction,
@@ -30,7 +32,7 @@ from latwidth import (
 from math import gcd
 
 from latwidth.canonical import _MIRROR, _matrix_sending_to_x_axis
-from latwidth.core import IDENTITY_MAP, NotAVertex, cross, lattice_points, make_primitive, polygon_from_cycle, sub
+from latwidth.core import IDENTITY_MAP, NotAVertex, _xgcd, cross, lattice_points, make_primitive, polygon_from_cycle, sub
 from latwidth.width import _reduced_basis, _witness_from_rows, normalize_sign, sort_directions
 
 
@@ -222,6 +224,55 @@ def candidate_forms(p: Polygon) -> list:
     return out
 
 
+def canonical_oracle(p: Polygon):
+    """The canonical form and map of a 2-dimensional polygon by the search
+    that ``_canonical_with_map`` made before it filtered ties vertex by
+    vertex: price every candidate's second vertex in closed form, with its
+    own gcd and extended gcd per edge of p and of p's mirror image, then
+    build the full sequence of every candidate with the smallest second
+    vertex and keep the first smallest.  The reference for the tie filter
+    and for the mirror edge table taken from p's."""
+    orientations = []
+    for pre in (IDENTITY_MAP, _MIRROR):
+        vs = apply_map(pre, p).vertices
+        n = len(vs)
+        edges = []
+        for i in range(n):
+            (ax, ay), (bx, by) = vs[i], vs[(i + 1) % n]
+            g = gcd(bx - ax, by - ay)
+            ex, ey = (bx - ax) // g, (by - ay) // g
+            r, s, t = _xgcd(ex, ey)
+            edges.append((ex, ey, g, r * s, r * t))
+        row = []
+        for i in range(n):
+            px, py, _, ps, pt = edges[i - 1]
+            nx, ny, g, ns, nt = edges[i]
+            b0 = px * ny - py * nx
+            k = -(ns * px + nt * py) // b0
+            row.append(((g, 0), (ns + k * ny, nt - k * nx, -ny, nx)))
+            a0 = ps * nx + pt * ny
+            k = a0 // b0
+            row.append(((g * (a0 - k * b0), g * b0), (ps + k * py, pt - k * px, -py, px)))
+        orientations.append((pre, vs, row))
+    smallest = min(second for _, _, row in orientations for second, _ in row)
+    best = None
+    for pre, vs, row in orientations:
+        for c, (second, matrix) in enumerate(row):
+            if second != smallest:
+                continue
+            a11, a12, a21, a22 = matrix
+            vx, vy = vs[c // 2]
+            seq = tuple(
+                (a11 * (x - vx) + a12 * (y - vy), a21 * (x - vx) + a22 * (y - vy))
+                for x, y in vs[c // 2:] + vs[:c // 2]
+            )
+            if best is None or seq < best[0]:
+                best = (seq, matrix, (vx, vy), pre)
+    seq, (a11, a12, a21, a22), (vx, vy), pre = best
+    m = UnimodularMap(a11, a12, a21, a22, -(a11 * vx + a12 * vy), -(a21 * vx + a22 * vy))
+    return seq, compose_maps(m, pre)
+
+
 def enumerate_minimal_oracle(d: int):
     """The family-driven enumeration without the orbit memo: every tuple is
     generated and keyed by a fresh ``canonical_form``.  The reference for
@@ -395,3 +446,26 @@ def random_large_image(rng: random.Random, p: Polygon, side: int = 120) -> Polyg
 @pytest.fixture
 def rng():
     return random.Random(0x1A77)
+
+
+def deletion_corpus(rng: random.Random) -> list:
+    """Random points, segments and polygons, and a few large images."""
+    shapes = [random_hull(rng, span=6) for _ in range(300)]
+    shapes += [random_polygon(rng, span=4, points=rng.randint(3, 6)) for _ in range(300)]
+    shapes += [random_large_image(rng, random_hull(rng, span=3), side=60) for _ in range(30)]
+    return shapes
+
+
+@pytest.fixture(scope="module")
+def minimality_corpus():
+    # the 9,024 polygons of the d <= 4 universe, the 4,211 width-8 tuples,
+    # the deletion corpus, and large images of every class of width <= 4
+    rng = random.Random(0x1A77)
+    polygons = [p for d in range(1, 5) for p in iter_full_width_polygons(d)]
+    polygons += [generate(t) for t in iter_type_params(8)]
+    polygons += deletion_corpus(rng)
+    for d in range(5):
+        for cls in enumerate_minimal(d):
+            base = convex_hull(cls.canonical.vertices)
+            polygons += [random_large_image(rng, base) for _ in range(3)]
+    return polygons

@@ -17,10 +17,17 @@ from latwidth import (
     translation,
     upsilon,
 )
-from latwidth.canonical import _MIRROR, _candidates, _canonical_with_map, _matrix_sending_to_x_axis
+from latwidth.canonical import (
+    _MIRROR,
+    _candidates,
+    _canonical_with_map,
+    _matrix_sending_to_x_axis,
+    _orientations,
+)
 from latwidth.core import IDENTITY_MAP
 from conftest import (
     candidate_forms,
+    canonical_oracle,
     normalizing_map,
     random_large_image,
     random_polygon,
@@ -125,21 +132,58 @@ def test_pruned_search_matches_oracle_on_large_images(rng):
 def test_pruned_search_keeps_the_first_of_tied_candidates():
     # symmetric polygons have several candidates with the smallest sequence;
     # the map of the first one in candidate order is the classify witness
-    square = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-    ties = [square]
-    ties += [four_direction_quadrangle(d) for d in range(2, 11, 2)]
-    ties += [hexagon(d, l) for d in range(1, 9) for l in range(d + 1)]
+    ties = [convex_hull([(0, 0), (d, 0), (d, d), (0, d)]) for d in range(1, 11)]
+    ties += [four_direction_quadrangle(d) for d in range(2, 13, 2)]
+    ties += [hexagon(d, l) for d in range(1, 11) for l in range(d + 1)]
+    ties += [upsilon(d) for d in range(2, 13)]
     _assert_pruned_search_matches_oracle(ties)
+    _assert_tie_filter_matches_oracle(ties)
+
+
+def _assert_tie_filter_matches_oracle(polygons):
+    for p in polygons:
+        form, witness = _canonical_with_map(p)
+        assert canonical_form(p) == form, p
+        if p.dimension == 2:
+            assert (form.vertices, witness) == canonical_oracle(p), p
+
+
+def test_tie_filter_matches_oracle_on_the_minimality_corpus(minimality_corpus):
+    _assert_tie_filter_matches_oracle(minimality_corpus)
+
+
+def test_tie_filter_matches_oracle_on_the_family_tuples():
+    _assert_tie_filter_matches_oracle(generate(t) for d in range(9) for t in iter_type_params(d))
+
+
+def test_tie_filter_matches_oracle_near_the_coordinate_limit(rng):
+    # hulls in a corner of the box [-10^6, 10^6]^2, and long thin images of
+    # small polygons moved next to it
+    polygons = []
+    for _ in range(300):
+        sx, sy = rng.choice((-1, 1)), rng.choice((-1, 1))
+        polygons.append(convex_hull(
+            (sx * (10**6 - rng.randint(0, 12)), sy * (10**6 - rng.randint(0, 12)))
+            for _ in range(rng.randint(3, 7))
+        ))
+    for _ in range(300):
+        q = apply_map(random_unimodular(rng, magnitude=300), random_polygon(rng, span=3, points=5))
+        x0, y0 = min(q.vertices)
+        shift = (rng.choice((-1, 1)) * 10**6 - x0, rng.choice((-1, 1)) * 10**6 - y0)
+        polygons.append(apply_map(translation(shift), q))
+    _assert_tie_filter_matches_oracle(polygons)
 
 
 def _assert_closed_form_matches_the_maps(polygons):
     # every candidate: both orientations, every vertex, outgoing and then
-    # incoming edge, against the map built from a base and a shear
+    # incoming edge, against the map built from a base and a shear; the
+    # mirror's cycle and edge table come from p's
     for p in polygons:
-        for pre in (IDENTITY_MAP, _MIRROR):
-            q = apply_map(pre, p)
+        for (vs, edges, pre), expected_pre in zip(_orientations(p), (IDENTITY_MAP, _MIRROR)):
+            q = apply_map(expected_pre, p)
+            assert (vs, pre) == (q.vertices, expected_pre)
             n = len(q.vertices)
-            found = _candidates(q)
+            found = _candidates(edges)
             assert len(found) == 2 * n
             for c, (second, matrix) in enumerate(found):
                 i, outgoing = c // 2, c % 2 == 0

@@ -200,6 +200,57 @@ def test_enumerate_output_bytes_are_pinned(capsys, d):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[d]
 
 
+# sha256 of the stdout bytes of `latwidth enumerate d --oracle`, recorded
+# before the class rows were written without json.dumps
+ENUMERATE_ORACLE_SHA256 = {
+    0: "b800a67867306de84005766e71ee64987f1311ace0b863eb64d27d617e9f18e5",
+    1: "062c4569fdac69c566226ff77d0e9c26b70abbf68fd8364d9062949839ce5579",
+    2: "b1f5ac2e9bd6c7b020b5856d546b0949c5dd3603bf4209ff840408d23f4bb1ba",
+    3: "20c837421df0c7a411088b97a076d3ace719c3a4332867807ab65c561870d6d5",
+    4: "bf53bc2dccd712625f6a4768eaf6fb56f9c32518e33e0438ecf9dd8a2ebfd554",
+}
+
+
+@pytest.mark.parametrize("d", sorted(ENUMERATE_ORACLE_SHA256))
+def test_enumerate_oracle_output_bytes_are_pinned(capsys, d):
+    code, out, _ = run(capsys, "enumerate", str(d), "--oracle")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_ORACLE_SHA256[d]
+
+
+def test_enumerate_output_file_bytes_are_pinned(tmp_path):
+    out = tmp_path / "classes.json"
+    assert main(["enumerate", "8", "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ENUMERATE_SHA256[8]
+
+
+def class_row_oracle(cls) -> dict:
+    # the row object the class array printed through json.dumps before the
+    # rows were written out by cli._class_rows
+    return {
+        "key": cls.key,
+        "tag": cls.params.tag if cls.params else None,
+        "d": cls.params.d if cls.params else None,
+        "params": cls.params.as_dict() if cls.params else None,
+        "point_count": cls.point_count,
+        "doubled_area": cls.doubled_area,
+        "vertices": [list(v) for v in cls.canonical.vertices],
+    }
+
+
+def test_class_rows_match_json_dumps():
+    tables = [classify_module.enumerate_minimal(d) for d in range(11)]
+    tables += [classify_module.brute_force_minimal(d) for d in range(classify_module.BRUTE_FORCE_LIMIT + 1)]
+    tables.append([])
+    for classes in tables:
+        expected = json.dumps([class_row_oracle(c) for c in classes], indent=2)
+        assert cli._class_rows(classes) == expected
+        # one level down, as the --oracle payload nests the arrays
+        nested = json.dumps({"rows": [class_row_oracle(c) for c in classes]}, indent=2)
+        assert '{\n  "rows": ' + cli._nested(cli._class_rows(classes)) + "\n}" == nested
+    assert any(c.params is None for c in tables[-2])
+
+
 def test_enumerate_with_oracle(capsys):
     code, out, _ = run(capsys, "enumerate", "2", "--oracle")
     assert code == 0

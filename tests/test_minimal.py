@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from latwidth import (
@@ -10,7 +8,6 @@ from latwidth import (
     apply_map,
     convex_hull,
     drop_vertex,
-    enumerate_minimal,
     generate,
     is_minimal,
     iter_full_width_polygons,
@@ -26,11 +23,11 @@ from latwidth.minimal import _cleared, _convicted
 from latwidth.width import _reduced_basis
 from conftest import (
     cleared_oracle,
+    deletion_corpus,
     drop_vertex_oracle,
     is_minimal_oracle,
     naive_lattice_points,
     random_hull,
-    random_large_image,
     random_polygon,
     random_unimodular,
 )
@@ -113,15 +110,8 @@ def test_minimality_is_equivalence_invariant(rng):
         assert is_minimal(apply_map(m, p)).is_minimal == is_minimal(p).is_minimal
 
 
-def _deletion_corpus(rng):
-    shapes = [random_hull(rng, span=6) for _ in range(300)]
-    shapes += [random_polygon(rng, span=4, points=rng.randint(3, 6)) for _ in range(300)]
-    shapes += [random_large_image(rng, random_hull(rng, span=3), side=60) for _ in range(30)]
-    return shapes
-
-
 def test_drop_vertex_matches_the_box_scan(rng):
-    for p in _deletion_corpus(rng):
+    for p in deletion_corpus(rng):
         points = naive_lattice_points(p)
         for v in p.vertices:
             if p.dimension == 0:
@@ -156,7 +146,7 @@ def test_minimality_report_matches_the_all_vertices_definition(rng):
     # the definition: delete each vertex from the full lattice point set,
     # take the full lattice width of every remainder, report the smallest
     # offender
-    for p in _deletion_corpus(rng):
+    for p in deletion_corpus(rng):
         if p.dimension == 0:
             expected = MinimalityReport(True, None, 0)
         else:
@@ -168,21 +158,6 @@ def test_minimality_report_matches_the_all_vertices_definition(rng):
             ]
             expected = MinimalityReport(not offenders, min(offenders, default=None), d)
         assert is_minimal(p) == expected, p.vertices
-
-
-@pytest.fixture(scope="module")
-def minimality_corpus():
-    # the 9,024 polygons of the d <= 4 universe, the 4,211 width-8 tuples,
-    # the deletion corpus, and large images of every class of width <= 4
-    rng = random.Random(0x1A77)
-    polygons = [p for d in range(1, 5) for p in iter_full_width_polygons(d)]
-    polygons += [generate(t) for t in iter_type_params(8)]
-    polygons += _deletion_corpus(rng)
-    for d in range(5):
-        for cls in enumerate_minimal(d):
-            base = convex_hull(cls.canonical.vertices)
-            polygons += [random_large_image(rng, base) for _ in range(3)]
-    return polygons
 
 
 def test_minimality_report_matches_the_drop_every_vertex_loop(minimality_corpus):
