@@ -192,7 +192,7 @@ def hexagon(d: int, l: int) -> Polygon:
     """The hexagon conv{(0,0),(l,0),(d,d-l),(d,d),(l,d),(0,d-l)}; degenerates
     to a triangle for l in {0, d}."""
     if d < 0 or not 0 <= l <= d:
-        raise ParamOutOfRange("need 0 <= l <= d")
+        raise ParamOutOfRange(f"the hexagon needs 0 <= l <= d, got l={l}, d={d}")
     return convex_hull([(0, 0), (l, 0), (d, d - l), (d, d), (l, d), (0, d - l)])
 
 

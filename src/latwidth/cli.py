@@ -29,7 +29,7 @@ from .svg import render_figure
 from .width import lattice_size_square, lattice_width
 
 COORD_LIMIT = 10**6
-WIDTH_LIMIT = 1000
+WIDTH_LIMIT = 16
 
 
 class CliError(Exception):
@@ -199,12 +199,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    p = _read_polygon(args.polygon)
-    if args.hexagon is not None:
-        d = lattice_width(p).width
-        if not 0 <= args.hexagon <= d:
-            raise CliError(f"--hexagon must be in [0, {d}] for this polygon")
-    _emit(render_figure(p, args.hexagon), args.output)
+    _emit(render_figure(_read_polygon(args.polygon), args.hexagon), args.output)
     return 0
 
 

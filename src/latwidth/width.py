@@ -110,58 +110,17 @@ def _segment_normal(p: Polygon) -> Vec:
     return normalize_sign((-e[1], e[0]))
 
 
-def _best_step(p: Polygon, b1: Vec, n1: int, b2: Vec, n2: int) -> int:
-    """An integer mu minimizing f(mu) = N(b2 - mu*b1), for
-    n1 = N(b1) <= n2 = N(b2).
-
-    f is convex, and f(mu) >= |mu|*n1 - n2 by the triangle inequality, so
-    every minimizer has |mu| <= 2*n2/n1.  When neither neighbour beats
-    f(0) = n2, 0 is a minimizer after two evaluations; otherwise
-    ``_smallest_minimizer`` searches the improving side of that bracket.
-    """
-
-    def f(mu: int) -> int:
-        return width_in_direction(p, (b2[0] - mu * b1[0], b2[1] - mu * b1[1]))
-
-    if f(1) < n2:
-        return _smallest_minimizer(f, 1, 2 * n2 // n1)
-    if f(-1) < n2:
-        return _smallest_minimizer(f, -(2 * n2 // n1), -1)
-    return 0
-
-
-def _smallest_minimizer(f, lo: int, hi: int) -> int:
-    """The smallest minimizer of a convex integer function f on [lo, hi]:
-    a binary search on the sign of f(x + 1) - f(x), nondecreasing in x."""
+def _first(pred, lo: int, hi: int) -> int:
+    """The smallest x in [lo, hi] with pred(x), for a predicate that is
+    false and then true on [lo, hi].  pred(hi) is taken as true and never
+    evaluated; bisection makes O(log(hi - lo)) evaluations of pred."""
     while lo < hi:
         mid = (lo + hi) // 2
-        if f(mid + 1) >= f(mid):
+        if pred(mid):
             hi = mid
         else:
             lo = mid + 1
     return lo
-
-
-def _last_within(f, a: int, hi: int, bound: int) -> int:
-    """The largest x in [a, hi] with f(x) <= bound, for f nondecreasing on
-    [a, hi] and f(a) <= bound.
-
-    Steps of doubling length from a bracket the answer between the last
-    point within the bound and the first beyond it (or hi + 1), and a
-    binary search closes the bracket: O(log(x - a)) evaluations of f.
-    """
-    step = 1
-    while a + step <= hi and f(a + step) <= bound:
-        a += step
-        step *= 2
-    beyond = min(a + step, hi + 1)
-    while beyond - a > 1:
-        mid = (a + beyond) // 2
-        if f(mid) <= bound:
-            a = mid
-        else:
-            beyond = mid
-    return a
 
 
 def _reduced_basis(
@@ -181,6 +140,13 @@ def _reduced_basis(
     N(v) >= |c|*N(b2 + k*b1) - |a - c*k|*N(b1) >= |c|*N(b2)/2).  Hence
     lambda1 = n1 and lambda2 = n2.
 
+    The step.  f(mu) = N(b2 - mu*b1) is convex, and
+    f(mu) >= |mu|*n1 - n2 by the triangle inequality, so every minimizer
+    has |mu| <= 2*n2/n1.  When neither f(1) nor f(-1) beats f(0) = n2, the
+    step is mu = 0, b2 is already reduced against b1, and the loop ends.
+    Otherwise the smallest minimizer on the improving side of that bracket
+    is the first mu there with f(mu + 1) >= f(mu), found by ``_first``.
+
     Nothing in the argument depends on the start, so any lattice basis
     will do; one that is already nearly reduced for N, such as the reduced
     basis of a polygon containing p, saves most of the rounds.
@@ -199,10 +165,18 @@ def _reduced_basis(
     if n2 < n1:
         b1, n1, b2, n2 = b2, n2, b1, n1
     while n1 >= floor:
-        mu = _best_step(p, b1, n1, b2, n2)
-        if mu:
-            b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
-            n2 = width_in_direction(p, b2)
+        def f(mu: int) -> int:
+            return width_in_direction(p, (b2[0] - mu * b1[0], b2[1] - mu * b1[1]))
+
+        if f(1) < n2:
+            lo, hi = 1, 2 * n2 // n1
+        elif f(-1) < n2:
+            lo, hi = -(2 * n2 // n1), -1
+        else:
+            break
+        mu = _first(lambda x: f(x + 1) >= f(x), lo, hi)
+        # the right side is evaluated first, so f(mu) still reads the old b2
+        b2, n2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1]), f(mu)
         if n2 >= n1:
             break
         b1, n1, b2, n2 = b2, n2, b1, n1
@@ -237,9 +211,12 @@ def _directions_within(
     f(a) <= bound form one interval around any minimizer m of f.  As
     N(b2) <= N(b2 + k*b1) for every integer k, m = 0 for c = 1, and the
     convex t -> N(b2 + t*b1) has a real minimizer in [-1, 1], so
-    f = c*N(b2 + (a/c)*b1) has an integer minimizer in [-c, c], where a
-    binary search finds it.  ``_last_within`` then finds each end of the
-    interval inside the bracket |a| <= reach with O(log reach) evaluations
+    f = c*N(b2 + (a/c)*b1) has an integer minimizer in [-c, c]: the first
+    a there with f(a + 1) >= f(a).  f does not increase up to m and does
+    not decrease from m, and every a within the bound has |a| <= reach, so
+    the first end is the first a in [-reach, m] with f(a) <= bound, and
+    the last end is one below the first a in [m, reach + 1] with
+    f(a) > bound.  ``_first`` bisects each end in O(log reach) evaluations
     of N, and the primitive candidates between the ends, gcd(a, c) = 1,
     are listed without evaluating N.
     """
@@ -254,11 +231,11 @@ def _directions_within(
             return values[a]
 
         reach = (bound + c * n2) // n1
-        m = 0 if c == 1 else _smallest_minimizer(f, -c, c)
+        m = 0 if c == 1 else _first(lambda a: f(a + 1) >= f(a), -c, c)
         if f(m) > bound:
             continue
-        first = -_last_within(lambda a: f(-a), -m, reach, bound)
-        last = _last_within(f, m, reach, bound)
+        first = _first(lambda a: f(a) <= bound, -reach, m)
+        last = _first(lambda a: f(a) > bound, m, reach + 1) - 1
         found.extend(
             normalize_sign((a * b1[0] + c * b2[0], a * b1[1] + c * b2[1]))
             for a in range(first, last + 1)

@@ -102,6 +102,93 @@ def spread_oracle(p: Polygon, v) -> int:
     return max(products) - min(products)
 
 
+def _smallest_minimizer(f, lo: int, hi: int) -> int:
+    # the smallest minimizer of a convex integer f on [lo, hi]: a binary
+    # search on the sign of f(x + 1) - f(x), nondecreasing in x
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid + 1) >= f(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _best_step(p: Polygon, b1, n1: int, b2, n2: int) -> int:
+    # an integer mu minimizing N(b2 - mu*b1), searched on the improving
+    # side of |mu| <= 2*n2/n1, and 0 when neither neighbour beats n2
+    def f(mu: int) -> int:
+        return width_in_direction(p, (b2[0] - mu * b1[0], b2[1] - mu * b1[1]))
+
+    if f(1) < n2:
+        return _smallest_minimizer(f, 1, 2 * n2 // n1)
+    if f(-1) < n2:
+        return _smallest_minimizer(f, -(2 * n2 // n1), -1)
+    return 0
+
+
+def reduction_oracle(p: Polygon, start=((1, 0), (0, 1)), floor: int = 0):
+    """Generalized Gauss reduction with the step found by its own function
+    and N(b2) evaluated again after each step; the reference for the loop
+    of ``_reduced_basis``, which takes the step and its norm from one
+    search."""
+    b1, b2 = start
+    n1, n2 = width_in_direction(p, b1), width_in_direction(p, b2)
+    if n2 < n1:
+        b1, n1, b2, n2 = b2, n2, b1, n1
+    while n1 >= floor:
+        mu = _best_step(p, b1, n1, b2, n2)
+        if mu:
+            b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+            n2 = width_in_direction(p, b2)
+        if n2 >= n1:
+            break
+        b1, n1, b2, n2 = b2, n2, b1, n1
+    return b1, n1, b2, n2
+
+
+def _last_within(f, a: int, hi: int, bound: int) -> int:
+    # the largest x in [a, hi] with f(x) <= bound, for f nondecreasing on
+    # [a, hi] and f(a) <= bound: doubling steps from a, then bisection
+    step = 1
+    while a + step <= hi and f(a + step) <= bound:
+        a += step
+        step *= 2
+    beyond = min(a + step, hi + 1)
+    while beyond - a > 1:
+        mid = (a + beyond) // 2
+        if f(mid) <= bound:
+            a = mid
+        else:
+            beyond = mid
+    return a
+
+
+def listing_oracle(p: Polygon, basis, bound: int) -> list:
+    """The directions of width at most the bound from a reduced basis, row
+    by row, with each end of a row found by galloping out from the row's
+    minimizer; the reference for the bisected ends of
+    ``_directions_within``."""
+    b1, n1, b2, n2 = basis
+    found = [normalize_sign(b1)] if n1 <= bound else []
+    for c in range(1 if n2 <= bound else 2, 2 * bound // n2 + 1):
+        def f(a: int) -> int:
+            return width_in_direction(p, (a * b1[0] + c * b2[0], a * b1[1] + c * b2[1]))
+
+        reach = (bound + c * n2) // n1
+        m = 0 if c == 1 else _smallest_minimizer(f, -c, c)
+        if f(m) > bound:
+            continue
+        first = -_last_within(lambda a: f(-a), -m, reach, bound)
+        last = _last_within(f, m, reach, bound)
+        found.extend(
+            normalize_sign((a * b1[0] + c * b2[0], a * b1[1] + c * b2[1]))
+            for a in range(first, last + 1)
+            if gcd(a, c) == 1
+        )
+    return sorted(found, key=lambda v: (abs(v[0]), abs(v[1]), v))
+
+
 def _axis_widths(p: Polygon) -> tuple[int, int]:
     xs = [v[0] for v in p.vertices]
     ys = [v[1] for v in p.vertices]

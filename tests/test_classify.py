@@ -476,3 +476,19 @@ def test_width_10_regression_count():
 def test_large_width_regression_counts():
     assert len(enumerate_minimal(11)) == 5063
     assert len(enumerate_minimal(12)) == 9498
+
+
+# classes and generated tuples at the widths up to the CLI's WIDTH_LIMIT;
+# measured with this enumerator, not taken from the paper: regression values
+# only
+@pytest.mark.skipif(
+    not os.environ.get("LATWIDTH_SLOW"),
+    reason="enumerating widths 13 to 16 takes about 30 s; set LATWIDTH_SLOW=1 to run",
+)
+@pytest.mark.parametrize(
+    "d, classes, tuples",
+    [(13, 16_819, 160_783), (14, 29_098, 286_497), (15, 48_223, 490_432), (16, 78_088, 810_119)],
+)
+def test_regression_counts_up_to_the_width_limit(d, classes, tuples):
+    found, stats = enumerate_minimal_with_stats(d)
+    assert (len(found), sum(stats.generated.values())) == (classes, tuples)

@@ -76,14 +76,14 @@ def test_lattice_size_command(capsys, tmp_path):
     assert set(data["witness"]) == {"a", "b"}
 
 
-def _cli_process(*argv, interpreter_flags=()):
+def _cli_process(*argv, interpreter_flags=(), timeout=30):
     # a separate interpreter, so a runaway computation ends at the timeout
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *interpreter_flags, "-m", "latwidth.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -575,6 +575,32 @@ def test_oracle_needs_small_width(capsys):
     assert code == 2
     code, _, err = run(capsys, "verify", "5", "--oracle")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "17"],
+        ["verify", "1", "17"],
+        ["verify", "17"],
+        ["classify", "{upsilon_1000}"],
+        ["classify", "{upsilon_17}"],
+    ],
+    ids=["enumerate-17", "verify-1-17", "verify-17", "classify-upsilon-1000", "classify-upsilon-17"],
+)
+def test_widths_over_the_budget_exit_2_at_once(tmp_path, argv):
+    # widths up to WIDTH_LIMIT = 16 run (the LATWIDTH_SLOW counts in
+    # test_classify.py enumerate d = 16 in about 14 s); past it nothing is
+    # enumerated, and a class table of width 17 alone takes longer than the
+    # timeout below
+    files = {
+        f"upsilon_{d}": write_polygon(tmp_path / f"upsilon-{d}.json", [[0, 0], [1, d], [d, 1]])
+        for d in (17, 1000)
+    }
+    done = _cli_process(*[a.format(**files) for a in argv], timeout=10)
+    assert (done.returncode, done.stdout) == (2, ""), argv
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert cli._check_d(cli.WIDTH_LIMIT) == cli.WIDTH_LIMIT == 16
 
 
 def test_usage_error_exit_code(capsys):

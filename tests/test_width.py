@@ -17,13 +17,15 @@ from latwidth import (
     width_in_direction,
 )
 from latwidth.core import _xgcd, cross, dot
-from latwidth.width import _directions_within, _reduced_basis, _witness_from_rows
+from latwidth.width import _directions_within, _first, _reduced_basis, _witness_from_rows
 from conftest import (
+    listing_oracle,
     naive_lattice_width,
     random_hull,
     random_large_image,
     random_polygon,
     random_unimodular,
+    reduction_oracle,
     region_scan_directions,
     region_scan_size,
     region_scan_width,
@@ -319,6 +321,93 @@ def test_reduction_from_any_start_basis(rng):
                 assert (m1 >= floor) == (n1 >= floor)
                 assert abs(cross(c1, c2)) == 1
                 assert width_in_direction(remainder, c1) == m1
+
+
+def test_first_matches_a_linear_scan():
+    # every threshold of a false-then-true predicate on short ranges: lo ==
+    # hi, a predicate true everywhere and one true only at hi included;
+    # pred(hi) is taken as true and never evaluated
+    for lo in range(-5, 6):
+        for hi in range(lo, lo + 10):
+            for t in range(lo - 2, hi + 3):
+                asked = []
+
+                def pred(x):
+                    asked.append(x)
+                    return x >= t
+
+                expected = next((x for x in range(lo, hi) if x >= t), hi)
+                assert _first(pred, lo, hi) == expected, (lo, hi, t)
+                assert all(lo <= x < hi for x in asked), (lo, hi, t, asked)
+                assert len(asked) <= (hi - lo).bit_length()
+
+
+def _search_corpus(rng, minimality_corpus):
+    # the 2-dimensional polygons of the minimality corpus, hulls spanning
+    # [-10^6, 10^6]^2 and small hulls next to a corner (+-10^6, +-10^6),
+    # and the thin triangles conv{(0,0),(n,n-1),(n+1,n)}
+    yield from (p for p in minimality_corpus if p.dimension == 2)
+    for span, shift in ((10**6, 0), (8, 10**6 - 8)):
+        for _ in range(300):
+            p = random_polygon(rng, span=span, points=rng.randint(3, 6))
+            if shift:
+                sx, sy = rng.choice((-shift, shift)), rng.choice((-shift, shift))
+                p = convex_hull((x + sx, y + sy) for x, y in p.vertices)
+            yield p
+    for n in (1, 2, 3, 10, 999, 10**5, 10**6 - 1):
+        yield convex_hull([(0, 0), (n, n - 1), (n + 1, n)])
+
+
+def _without_a_vertex(rng, p):
+    # the hull of the other vertices: a polygon inside p, like the
+    # remainders of ``is_minimal``, without listing the lattice points of a
+    # corner triangle that may hold 10^12 of them
+    v = rng.choice(p.vertices)
+    return convex_hull(q for q in p.vertices if q != v)
+
+
+def test_reduction_matches_the_oracle(rng, minimality_corpus):
+    # the 4-tuples of the one-search loop and of the step function it
+    # replaced: from the standard start, for a vertex deletion from p's
+    # reduced basis, and from a random unimodular start, each with the
+    # floors d and d + 1 as ``is_minimal`` asks
+    count = 0
+    for p in _search_corpus(rng, minimality_corpus):
+        count += 1
+        basis = _reduced_basis(p)
+        assert basis == reduction_oracle(p), p.vertices
+        b1, d, b2, _ = basis
+        m = random_unimodular(rng, magnitude=40)
+        remainder = _without_a_vertex(rng, p)
+        cases = [(p, ((m.a11, m.a12), (m.a21, m.a22)))]
+        if remainder.dimension == 2:
+            cases.append((remainder, (b1, b2)))
+        for q, start in cases:
+            for floor in (0, d, d + 1):
+                got = _reduced_basis(q, start, floor)
+                assert got == reduction_oracle(q, start, floor), (q.vertices, start, floor)
+    assert count > 14_000
+
+
+def test_listing_matches_the_oracle(rng, minimality_corpus):
+    # bounds on both sides of both successive minima, and the bound d - 1
+    # at which ``is_minimal`` lists a remainder's directions from p's basis
+    count = 0
+    for p in _search_corpus(rng, minimality_corpus):
+        count += 1
+        basis = _reduced_basis(p)
+        b1, n1, b2, n2 = basis
+        for bound in (n1 - 1, n1, n2, n2 + 1):
+            assert _directions_within(p, basis, bound) == listing_oracle(p, basis, bound), (
+                p.vertices, bound,
+            )
+        remainder = _without_a_vertex(rng, p)
+        if remainder.dimension == 2:
+            rest = _reduced_basis(remainder, (b1, b2))
+            assert _directions_within(remainder, rest, n1 - 1) == listing_oracle(
+                remainder, rest, n1 - 1
+            ), (remainder.vertices, n1 - 1)
+    assert count > 14_000
 
 
 def test_four_direction_images_keep_four_directions(rng):
