@@ -413,7 +413,6 @@ def enumerate_minimal(d: int) -> list[MinimalClass]:
 BRUTE_FORCE_LIMIT = 4
 
 
-@lru_cache(maxsize=None)
 def _first_quadrant_chain_table(d: int):
     """Convex edge chains from first-quadrant primitive directions, keyed by
     total displacement (<= d in each coordinate)."""

@@ -106,22 +106,6 @@ def _cleared(vs: tuple[Vec, ...], basis: tuple[Vec, int, Vec, int]) -> set[Vec]:
     return found
 
 
-def _convicted(
-    vs: tuple[Vec, ...], i: int, basis: tuple[Vec, int, Vec, int]
-) -> tuple[Vec, int, Vec, int]:
-    """The reduction with floor d of the cycle Q = vs without its vertex i,
-    for a strictly convex polygon with at least four vertices and its
-    reduced basis (b1, d, b2, n2), where the reduction starts.
-
-    Q still has width >= d exactly when the returned (c1, m1, c2, m2) has
-    m1 >= d.  Otherwise c1 is a lattice vector with N_Q(c1) < d, and
-    (c1, c2) is a lattice basis, where ``is_minimal`` starts the
-    remainder's reduction."""
-    b1, d, b2, _ = basis
-    rest = polygon_from_cycle(vs[:i] + vs[i + 1:])
-    return _reduced_basis(rest, (b1, b2), d)
-
-
 def is_minimal(p: Polygon) -> MinimalityReport:
     """Vertex criterion: minimal iff every vertex deletion loses width.
 
@@ -133,48 +117,56 @@ def is_minimal(p: Polygon) -> MinimalityReport:
     A remainder R = drop_vertex(p, v) lies inside p, so its width is at
     most d = width(p), and v offends exactly when R still has width d.
     Let (b1, b2) be p's reduced basis, with n2 = N(b2); b1 is a width
-    direction, and so is b2 when n2 = d.  Two exact certificates decide
-    most vertices before R is built:
+    direction, and so is b2 when n2 = d.
 
     - Cleared: if <., u> has a strict local maximum (or minimum) at v along
       the cycle for such a width direction u, then on a convex cycle v is
       the only point of p on that supporting line, every other lattice
       point of p is at least 1 inside it, so R has u-width <= d - 1 and v
       does not offend.
-    - Convicted: for four or more vertices, the cycle Q without v is
-      strictly convex, and Q is inside R, so N_Q(w) <= N_R(w) for every w;
-      if Q still has width d, so has R, and v offends.
+    - When n2 > d, every vertex that is not cleared offends.  Suppose R
+      has width < d in some direction w.  If N_p(w) = d, then w = +-b1,
+      the only width direction, and v is alone on one of p's supporting
+      lines for w, so v is a strict extremum of b1 and was cleared.  If
+      N_p(w) >= d + 1, the deletion narrowed p by at least 2, and by the
+      lemma that ``upsilon_lemma_witness`` detects p is equivalent to
+      conv{(0,0),(1,d),(d,1)}, whose lambda2 is d, against n2 > d.
 
-    Only a vertex that neither decides has its remainder built by
-    ``drop_vertex``.  A point or segment remainder has width 0 < d.  For a
-    2-dimensional R or Q the width is N(b1) of a reduced basis.  Only
-    whether that width is still d matters, so the reduction stops at the
-    first lattice vector narrower than d.  Q's reduction starts from p's
-    reduced basis: Q differs from p by one corner, so that basis is nearly
-    reduced for it and only a few rounds are needed.  When Q is not
-    convicted, its early-stopped reduction has found a lattice basis
-    (c1, c2) with N_Q(c1) < d, and R's reduction starts from it; any
-    lattice basis is a valid start (see ``_reduced_basis``).  R differs
-    from Q only by part of one corner triangle, so c1 is usually narrower
-    than d for R as well (for all 756 such remainders of the width-8
-    representatives), and then the reduction stops after its first two
-    evaluations.  A triangle p has no Q, and R starts from p's reduced
-    basis.
+    Only when n2 = d does a vertex that is not cleared need a width.  For
+    four or more vertices, the cycle Q without v is strictly convex, and Q
+    is inside R, so N_Q(w) <= N_R(w) for every w; if Q still has width d,
+    so has R, and v offends.  Otherwise R is built by ``drop_vertex``.  A
+    point or segment remainder has width 0 < d.  For a 2-dimensional R or
+    Q the width is N(b1) of a reduced basis.  Only whether that width is
+    still d matters, so the reduction stops at the first lattice vector
+    narrower than d.  Q's reduction starts from p's reduced basis: Q
+    differs from p by one corner, so that basis is nearly reduced for it
+    and only a few rounds are needed.  When Q keeps less than width d, its
+    early-stopped reduction has found a lattice basis (c1, c2) with
+    N_Q(c1) < d, and R's reduction starts from it; any lattice basis is a
+    valid start (see ``_reduced_basis``).  R differs from Q only by part of
+    one corner triangle, so c1 is usually narrower than d for R as well
+    (for all 756 such remainders of the width-8 representatives), and then
+    the reduction stops after its first two evaluations.  A triangle p has
+    no Q, and R starts from p's reduced basis.
     """
     if p.dimension == 0:
         return MinimalityReport(True, None, 0)
     if p.dimension == 1:
         return MinimalityReport(False, p.vertices[0], 0)
     basis = _standard_reduction(p)
-    b1, d, b2, _ = basis
+    b1, d, b2, n2 = basis
     vs = p.vertices
     cleared = _cleared(vs, basis)
     for v in sorted(vs):
         if v in cleared:
             continue
+        if n2 > d:
+            return MinimalityReport(False, v, d)
         start = (b1, b2)
         if len(vs) > 3:
-            c1, m1, c2, _ = _convicted(vs, vs.index(v), basis)
+            i = vs.index(v)
+            c1, m1, c2, _ = _reduced_basis(polygon_from_cycle(vs[:i] + vs[i + 1:]), (b1, b2), d)
             if m1 >= d:
                 return MinimalityReport(False, v, d)
             start = (c1, c2)

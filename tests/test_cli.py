@@ -87,8 +87,8 @@ def _cli_process(*argv, interpreter_flags=(), timeout=30):
     )
 
 
-def _run_cli_process(*argv):
-    done = _cli_process(*argv)
+def _run_cli_process(*argv, timeout=30):
+    done = _cli_process(*argv, timeout=timeout)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 
@@ -131,6 +131,17 @@ def test_minimal_of_large_polygons_in_bounded_time(tmp_path):
     assert _run_cli_process("minimal", f) == {
         "minimal": False, "width": n, "offending_vertex": [0, 0],
     }
+    # b1 is the only width direction of both triangles, so each vertex that
+    # is not a strict extremum of b1 offends without a remainder being built
+    fat = [[18000 * x, 18000 * y] for x, y in ((15, 24), (34, 6), (30, 55))]
+    for name, vertices, width, vertex in (
+        ("fat.json", fat, 342_000, [540_000, 990_000]),
+        ("flat.json", [[0, 0], [n, 0], [0, 1]], 1, [0, 0]),
+    ):
+        f = write_polygon(tmp_path / name, vertices)
+        expected = {"minimal": False, "width": width, "offending_vertex": vertex}
+        for command in ("minimal", "classify"):
+            assert _run_cli_process(command, f, timeout=10) == expected, (command, name)
 
 
 def _assert_witness_fits(witness, vertices, size):

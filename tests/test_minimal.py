@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from latwidth import (
@@ -19,7 +21,8 @@ from latwidth import (
     width_in_direction,
 )
 from latwidth.core import cross, polygon_from_cycle
-from latwidth.minimal import _cleared, _convicted
+import latwidth.minimal as minimal_module
+from latwidth.minimal import _cleared
 from latwidth.width import _reduced_basis
 from conftest import (
     cleared_oracle,
@@ -165,6 +168,46 @@ def test_minimality_report_matches_the_drop_every_vertex_loop(minimality_corpus)
         assert is_minimal(p) == is_minimal_oracle(p), p.vertices
 
 
+@pytest.fixture(scope="module")
+def hull_corpus():
+    # 20,000 random hulls, most of them with N(b2) > d, and k times a
+    # triangle whose middle vertex along b1 is not cleared
+    rng = random.Random(0x21C0)
+    polygons = [random_hull(rng, span=10) for _ in range(20_000)]
+    polygons += [
+        convex_hull([(k * 15, k * 24), (k * 34, k * 6), (k * 30, k * 55)]) for k in range(1, 11)
+    ]
+    return [(p, is_minimal_oracle(p)) for p in polygons]
+
+
+def test_minimality_report_matches_the_oracle_on_random_hulls(hull_corpus):
+    single = 0
+    for p, report in hull_corpus:
+        assert is_minimal(p) == report, p.vertices
+        if p.dimension == 2:
+            _, d, _, n2 = _reduced_basis(p)
+            single += n2 > d
+    assert single > 10_000
+
+
+def test_one_width_direction_decides_without_remainders(hull_corpus, monkeypatch):
+    # with b1 the only width direction, every vertex that is not cleared
+    # offends, so no remainder is built
+    def refuse(p, vertex):
+        pytest.fail(f"drop_vertex({p.vertices}, {vertex})")
+
+    monkeypatch.setattr(minimal_module, "drop_vertex", refuse)
+    decided = 0
+    for p, report in hull_corpus:
+        if p.dimension < 2:
+            continue
+        _, d, _, n2 = _reduced_basis(p)
+        if n2 > d:
+            assert is_minimal(p) == report, p.vertices
+            decided += 1
+    assert decided > 10_000
+
+
 def test_cleared_vertices_lose_width(minimality_corpus):
     # a vertex alone on a supporting line of a width direction never offends
     cleared = 0
@@ -195,11 +238,11 @@ def test_convicted_vertices_keep_width(minimality_corpus):
         vs = p.vertices
         if len(vs) < 4:
             continue
-        basis = _reduced_basis(p)
+        b1, d, b2, _ = _reduced_basis(p)
         for i, v in enumerate(vs):
-            if _convicted(vs, i, basis)[1] >= basis[1]:
+            if _reduced_basis(polygon_from_cycle(vs[:i] + vs[i + 1:]), (b1, b2), d)[1] >= d:
                 convicted += 1
-                assert lattice_width(drop_vertex(p, v)).width == basis[1], (vs, v)
+                assert lattice_width(drop_vertex(p, v)).width == d, (vs, v)
     assert convicted > 30_000
 
 
@@ -211,8 +254,7 @@ def test_early_stopping_reduction_matches_the_full_one(minimality_corpus):
     for p in minimality_corpus:
         if p.dimension < 2:
             continue
-        basis = _reduced_basis(p)
-        b1, d, b2, _ = basis
+        b1, d, b2, _ = _reduced_basis(p)
         vs = p.vertices
         subpolygons = [drop_vertex(p, v) for v in vs]
         subpolygons += [polygon_from_cycle(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
@@ -232,7 +274,7 @@ def test_early_stopping_reduction_matches_the_full_one(minimality_corpus):
         for i, remainder in enumerate(subpolygons[:len(vs)]):
             if remainder.dimension < 2:
                 continue
-            c1, _, c2, _ = _convicted(vs, i, basis)
+            c1, _, c2, _ = _reduced_basis(polygon_from_cycle(vs[:i] + vs[i + 1:]), (b1, b2), d)
             width = _reduced_basis(remainder, (b1, b2))[1]
             assert (_reduced_basis(remainder, (c1, c2), d)[1] >= d) == (width >= d), (vs, i)
             restarted += 1
