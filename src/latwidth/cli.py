@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
             ok = ok and passed
             if report is not None:
                 reports.append({"kind": name, **asdict(report)})
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit("\n".join(lines), None)
     if args.output:
         _emit(json.dumps(reports, indent=2), args.output)
     return 0 if ok else 1

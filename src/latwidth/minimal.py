@@ -1,5 +1,5 @@
 """Vertex deletion, the minimality criterion, and the exceptional triangle
-conv{(0,0),(1,d),(d,1)} with its detector.
+conv{(0,0),(1,d),(d,1)}.
 
 A polygon is minimal when removing any single vertex (from its full set of
 lattice points) strictly decreases the lattice width.
@@ -19,13 +19,7 @@ from .core import (
     lattice_points,
     polygon_from_cycle,
 )
-from .width import (
-    _directions_within,
-    _reduced_basis,
-    _segment_normal,
-    _standard_reduction,
-    width_in_direction,
-)
+from .width import _reduced_basis, _standard_reduction
 
 
 @dataclass(frozen=True)
@@ -129,8 +123,9 @@ def is_minimal(p: Polygon) -> MinimalityReport:
       the only width direction, and v is alone on one of p's supporting
       lines for w, so v is a strict extremum of b1 and was cleared.  If
       N_p(w) >= d + 1, the deletion narrowed p by at least 2, and by the
-      lemma that ``upsilon_lemma_witness`` detects p is equivalent to
-      conv{(0,0),(1,d),(d,1)}, whose lambda2 is d, against n2 > d.
+      paper's lemma (acceptance criterion 6 checks it on every polygon of
+      width d <= 4) p is equivalent to conv{(0,0),(1,d),(d,1)}, whose
+      lambda2 is d, against n2 > d.
 
     Only when n2 = d does a vertex that is not cleared need a width.  For
     four or more vertices, the cycle Q without v is strictly convex, and Q
@@ -185,30 +180,3 @@ def upsilon(d: int) -> Polygon:
         raise OutOfRange("the triangle degenerates for d < 2")
     return convex_hull([(0, 0), (1, d), (d, 1)])
 
-
-def upsilon_lemma_witness(p: Polygon) -> Optional[tuple[Vec, Vec]]:
-    """A pair (vertex P, direction v) with the deleted polygon narrower than
-    d in direction v and narrower than p by more than one, if one exists.
-
-    Any polygon admitting such a pair is equivalent to upsilon(d); this is
-    the detector for that exceptional case.  Vertices are scanned in cycle
-    order and, for each, the directions of width at most d - 1 on the
-    deleted polygon in (|x|, |y|, v) order, so the first hit is
-    deterministic.
-    """
-    if p.dimension < 2:
-        raise OutOfRange("defined for polygons of positive lattice width")
-    b1, d, b2, _ = _reduced_basis(p)
-    for vertex in p.vertices:
-        remainder = drop_vertex(p, vertex)
-        if remainder.dimension == 0:
-            continue
-        if remainder.dimension == 1:
-            candidates = (_segment_normal(remainder),)
-        else:
-            basis = _reduced_basis(remainder, (b1, b2))
-            candidates = _directions_within(remainder, basis, d - 1)
-        for v in candidates:
-            if width_in_direction(remainder, v) < width_in_direction(p, v) - 1:
-                return vertex, v
-    return None

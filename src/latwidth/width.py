@@ -198,7 +198,10 @@ def _directions_within(
 ) -> list[Vec]:
     """Primitive sign-normalized directions v with ``N(v) <= bound``, for
     the width norm N of a 2-dimensional p and a reduced basis
-    (b1, n1, b2, n2) of it, sorted by (|x|, |y|, v).
+    (b1, n1, b2, n2) of it, sorted by (|x|, |y|, v).  The bound is one of
+    the successive minima: lambda1 = n1 for the width directions of
+    ``lattice_width``, and lambda2 = n2 for the witness candidates of
+    ``lattice_size_square``.  The argument below holds for any bound.
 
     Every v is a*b1 + c*b2, and one of +-v has c > 0 or is b1.  For c >= 1
     the reduced basis gives N(v) >= c*n2/2 (see ``_reduced_basis``; for

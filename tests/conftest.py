@@ -27,6 +27,7 @@ from latwidth import (
     iter_full_width_polygons,
     iter_type_params,
     lattice_point_count,
+    lattice_width,
     width_in_direction,
 )
 from math import gcd
@@ -472,6 +473,31 @@ def cleared_oracle(vs, basis) -> set:
             if (a < b > c) or (a > b < c):
                 found.add(vs[i])
     return found
+
+
+def upsilon_lemma_witness(p: Polygon):
+    """A pair (vertex, direction v) of a 2-dimensional p of width d whose
+    deletion leaves a polygon narrower than d in direction v and narrower
+    than p by more than one, or None.  By the paper's lemma only images of
+    conv{(0,0),(1,d),(d,1)} have one.
+
+    Vertices are tried in cycle order; each remainder comes from
+    ``drop_vertex``, and its directions of width at most d - 1 from the
+    region scan (for a segment remainder, its one direction of width 0), in
+    (|x|, |y|, v) order, so the first hit is deterministic."""
+    d = lattice_width(p).width
+    for vertex in p.vertices:
+        remainder = drop_vertex(p, vertex)
+        if remainder.dimension == 0:
+            continue
+        if remainder.dimension == 1:
+            candidates = lattice_width(remainder).directions
+        else:
+            candidates = region_scan_directions(remainder, d - 1)
+        for v in candidates:
+            if width_in_direction(remainder, v) < width_in_direction(p, v) - 1:
+                return vertex, v
+    return None
 
 
 def _contains_point(p: Polygon, q) -> bool:

@@ -27,11 +27,10 @@ from latwidth import (
     lattice_width,
     point_bound,
     upsilon,
-    upsilon_lemma_witness,
     verify_point_bound,
     verify_volume_bound,
 )
-from conftest import naive_lattice_width, random_polygon, random_unimodular
+from conftest import naive_lattice_width, random_polygon, random_unimodular, upsilon_lemma_witness
 
 D_MAX = 8
 

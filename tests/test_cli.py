@@ -76,14 +76,14 @@ def test_lattice_size_command(capsys, tmp_path):
     assert set(data["witness"]) == {"a", "b"}
 
 
-def _cli_process(*argv, interpreter_flags=(), timeout=30):
+def _cli_process(*argv, interpreter_flags=(), timeout=30, stdout=subprocess.PIPE):
     # a separate interpreter, so a runaway computation ends at the timeout
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *interpreter_flags, "-m", "latwidth.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout,
     )
 
 
@@ -116,6 +116,19 @@ def test_width_and_size_of_the_square_at_the_coordinate_limit(tmp_path):
     data = _run_cli_process("lattice-size", f)
     assert data["ls_square"] == n
     _assert_witness_fits(data["witness"], vertices, n)
+
+
+def test_width_and_size_of_the_flat_triangle_in_bounded_time(tmp_path):
+    # bounded but linear in the coordinates: the size witness is picked
+    # from about 10^6 directions of width at most lambda2
+    vertices = [[0, 0], [1_000_000, 0], [0, 1]]
+    f = write_polygon(tmp_path / "flat.json", vertices)
+    data = _run_cli_process("width", f, timeout=10)
+    assert data["lw"] == 1 and data["ls_square"] == 1_000_000
+
+    data = _run_cli_process("lattice-size", f, timeout=10)
+    assert data["ls_square"] == 1_000_000
+    _assert_witness_fits(data["witness"], vertices, 1_000_000)
 
 
 def test_minimal_of_large_polygons_in_bounded_time(tmp_path):
@@ -579,6 +592,27 @@ def test_io_failures_print_no_traceback(tmp_path, ups1_file):
         done = _cli_process(*argv)
         assert done.returncode == 2 and done.stdout == "", argv
         assert done.stderr.startswith(prefix) and "Traceback" not in done.stderr, argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_exits_2(ups1_file):
+    # every subcommand writes stdout through one helper, verify's check
+    # lines included, so a failed write is one error line, not a traceback
+    # with the exit status of a failed verification
+    for argv in (
+        ["width", ups1_file],
+        ["lattice-size", ups1_file],
+        ["minimal", ups1_file],
+        ["classify", ups1_file],
+        ["enumerate", "1"],
+        ["verify", "1", "2"],
+        ["plot", ups1_file],
+    ):
+        with open("/dev/full", "w") as full:
+            done = _cli_process(*argv, stdout=full)
+        assert done.returncode == 2, (argv, done.stderr)
+        assert done.stderr.startswith("error: cannot write stdout"), argv
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr, argv
 
 
 def test_oracle_needs_small_width(capsys):

@@ -17,7 +17,6 @@ from latwidth import (
     lattice_points,
     lattice_width,
     upsilon,
-    upsilon_lemma_witness,
     width_in_direction,
 )
 from latwidth.core import cross, polygon_from_cycle
@@ -33,6 +32,7 @@ from conftest import (
     random_hull,
     random_polygon,
     random_unimodular,
+    upsilon_lemma_witness,
 )
 
 SIMPLEX = convex_hull([(0, 0), (1, 0), (0, 1)])
@@ -314,6 +314,10 @@ def test_witness_absent_examples():
     assert upsilon_lemma_witness(SQUARE) is None
 
 
-def test_witness_rejects_width_zero():
-    with pytest.raises(OutOfRange):
-        upsilon_lemma_witness(convex_hull([(0, 0), (3, 0)]))
+def test_witness_found_for_upsilon():
+    for d in range(2, 9):
+        hit = upsilon_lemma_witness(upsilon(d))
+        assert hit is not None, d
+        vertex, v = hit
+        narrowed = width_in_direction(drop_vertex(upsilon(d), vertex), v)
+        assert narrowed < d and narrowed < width_in_direction(upsilon(d), v) - 1, d
