@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
@@ -67,8 +68,23 @@ def _emit(text: str, path: str | None) -> None:
     try:
         with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
+            fh.flush()  # a buffered stdout fails here, not in the flush at exit
     except OSError as exc:
+        if path is None:
+            _discard_stdout()
         raise CliError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point file descriptor 1 at os.devnull after a failed stdout write, so
+    the interpreter's flush at exit drops what is left in the buffer instead
+    of failing again (the recipe of the signal module's SIGPIPE note)."""
+    try:
+        fd = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(fd, sys.stdout.fileno())
+        os.close(fd)
+    except (OSError, ValueError):  # a stdout without a file descriptor
+        pass
 
 
 def _class_rows(classes) -> str:

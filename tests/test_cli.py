@@ -80,6 +80,7 @@ def _cli_process(*argv, interpreter_flags=(), timeout=30, stdout=subprocess.PIPE
     # a separate interpreter, so a runaway computation ends at the timeout
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout is buffered, as in a plain shell
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, *interpreter_flags, "-m", "latwidth.cli", *argv],
@@ -595,10 +596,12 @@ def test_io_failures_print_no_traceback(tmp_path, ups1_file):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_unwritable_stdout_exits_2(ups1_file):
+@pytest.mark.parametrize("flags", [(), ("-u",)], ids=["buffered", "unbuffered"])
+def test_unwritable_stdout_exits_2(ups1_file, flags):
     # every subcommand writes stdout through one helper, verify's check
     # lines included, so a failed write is one error line, not a traceback
-    # with the exit status of a failed verification
+    # with the exit status of a failed verification; a buffered stdout must
+    # fail in that helper too, not in the interpreter's flush at exit
     for argv in (
         ["width", ups1_file],
         ["lattice-size", ups1_file],
@@ -609,7 +612,7 @@ def test_unwritable_stdout_exits_2(ups1_file):
         ["plot", ups1_file],
     ):
         with open("/dev/full", "w") as full:
-            done = _cli_process(*argv, stdout=full)
+            done = _cli_process(*argv, interpreter_flags=flags, stdout=full)
         assert done.returncode == 2, (argv, done.stderr)
         assert done.stderr.startswith("error: cannot write stdout"), argv
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr, argv
