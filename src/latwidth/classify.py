@@ -248,47 +248,90 @@ def _iter_values(d: int) -> Iterator[tuple[str, tuple[int, ...]]]:
                     yield tag, head + values
 
 
-def _orbit_keys(points: Sequence[Vec], d: int) -> set[int]:
-    """The ``_point_key``s of the images of the point set under the 8
-    symmetries of [0, d]^2: (x, y) -> (x or d - x, y or d - y), optionally
-    swapped.
+def _dihedral(
+    sides: tuple[int, ...], lengths: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The images of one point inside each side of a polygon under the
+    rotations and reflections of its cycle of sides.
 
-    The point (x, y) has the bit i = x*(d+1) + y, its reflection (x, d - y)
-    the bit j = x*(d+1) + d - y, and the half turn (d - x, d - y) sends the
-    bit i to last - i, with last = (d+1)^2 - 1.  So one pass over the set
-    and one over its swap give all 8 keys: each set, its reflection, and
-    the half turns of both."""
-    w = d + 1
-    last = w * w - 1
-    keys = set()
-    for image in (points, [(y, x) for x, y in points]):
-        same = turned = reflected = reflected_turned = 0
-        for x, y in image:
-            i, j = x * w + y, x * w + d - y
-            same |= 1 << i
-            turned |= 1 << (last - i)
-            reflected |= 1 << j
-            reflected_turned |= 1 << (last - j)
-        keys.update((same, turned, reflected, reflected_turned))
-    return keys
+    ``sides[i]`` is the lattice distance of the point on side i from the
+    side's counterclockwise start, and ``lengths[i]`` is the side's lattice
+    length.  Yields, for each start side s, the distances read
+    counterclockwise from side s and clockwise from side s (a point at
+    distance a then sits at distance length - a), each with the length of
+    side s, which becomes side 0 of the image."""
+    n = len(sides)
+    # read clockwise from side n - 1, each distance taken from the other end
+    back = tuple(length - a for a, length in zip(sides, lengths))[::-1]
+    for s in range(n):
+        t = n - 1 - s
+        yield sides[s:] + sides[:s], lengths[s]
+        yield back[t:] + back[:t], lengths[s]
 
 
-def _hexagon_rotation(points: Sequence[Vec], d: int, l: int) -> list[Vec]:
-    """The images of the points under rho_l(x, y) = (d - y, x - y + d - l),
-    the lattice rotation of order 3 that maps the hexagon (d, l) onto
-    itself.  See ``enumerate_minimal_with_stats``."""
-    return [(d - y, x - y + d - l) for x, y in points]
+def _orbit(tag: str, d: int, values: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The values of the tuples of ``tag`` whose formula points are the
+    images of this tuple's under the lattice symmetries of the square
+    [0, d]^2 and, for T3..T5, of the hexagons (d, l), this tuple included.
 
+    Each map below is a unimodular map of the plane, so the tuples of one
+    orbit share a canonical form.  The maps of each tag form a group, so
+    the orbits part the tuples of the tag; they never join two tags.
 
-def _point_key(points: Sequence[Vec], d: int) -> int:
-    """The bit set over [0, d]^2 of a set of points in it, bit x*(d+1) + y
-    for (x, y); repeated points count once.  See
-    ``enumerate_minimal_with_stats``."""
-    w = d + 1
-    key = 0
-    for x, y in points:
-        key |= 1 << (x * w + y)
-    return key
+    T1 is the corner (0,0) with (d,y) and (x,d).  The swap (x,y) -> (y,x)
+    keeps it a T1.  Another symmetry of the square sends (0,0) to a corner
+    other than (0,0), so its image contains (0,0) only if another corner
+    of the square is a formula point, which needs x = 0 or y = 0; then the
+    reflection x -> d - x (for y = 0) or y -> d - y (for x = 0) gives the
+    rest of the orbit.
+
+    T2 is one point inside each side of the square, at distances x1, y2,
+    d - x2 and d - y1 from the sides' counterclockwise starts, and the 8
+    symmetries of the square are the rotations and reflections of that
+    cycle of sides (``_dihedral``).  The side conditions say that the
+    widths in the directions (1, 1) and (1, -1) are at least d, and the
+    symmetries permute those two directions, so every image is a T2.
+
+    T3..T5 lie on the boundary of the hexagon (d, l), whose sides, from
+    (0,0) counterclockwise, have the lattice lengths l, d - l, l, d - l, l
+    and d - l.  The rotation rho_l(x, y) = (d - y, x - y + d - l) has
+    determinant 1 and order 3 and maps each hexagon side to the side two
+    further on; the half turn (d - x, d - y) and the swap (y, x) map the
+    hexagon (d, l) onto the hexagon (d, d - l), as a turn by three sides and
+    a reflection of the side cycle.  Together they act on the side cycle as
+    all 12 of its rotations and reflections, a turn by an odd number of
+    sides trading l for d - l.  T5 is one point inside each side, at
+    distances x1, z2, y2, d - l - x2, l - z1 and d - l - y1, so all 12 give
+    T5s.  T4 is the corner (0,0) and points inside the four sides that do
+    not touch it; only the reflection fixing that corner, the swap, keeps
+    this shape.  T3 is the corners (0,0) and (l,0) and points inside the
+    three sides that touch neither; only the reflection of the side between the
+    two corners, rho_l followed by (x, y) -> (d - y, d - x), keeps it."""
+    if tag == "T1":
+        x, y = values
+        if x and y:
+            return {values, (y, x)}
+        m = x + y
+        return {(m, 0), (0, m), (d - m, 0), (0, d - m)}
+    if tag == "T2":
+        x1, x2, y1, y2 = values
+        return {
+            (a, d - c, d - e, b)
+            for (a, b, c, e), _ in _dihedral((x1, y2, d - x2, d - y1), (d,) * 4)
+        }
+    if tag == "T3":
+        l, x, y, z = values
+        return {values, (l, d - l - x, z, y)}
+    if tag == "T4":
+        l, x, y, z, zp = values
+        return {values, (d - l, y, x, zp, z)}
+    l, x1, x2, y1, y2, z1, z2 = values
+    return {
+        (k, a0, d - k - a3, d - k - a5, a2, k - a4, a1)
+        for (a0, a1, a2, a3, a4, a5), k in _dihedral(
+            (x1, z2, y2, d - l - x2, l - z1, d - l - y1), (l, d - l) * 3
+        )
+    }
 
 
 @dataclass
@@ -310,87 +353,64 @@ def enumerate_minimal_with_stats(
 ) -> tuple[tuple[MinimalClass, ...], EnumerationStats]:
     """Family-driven enumeration of all minimal classes of width d.
 
-    Every in-range parameter tuple is generated and keyed by its canonical
-    form.  A key already stored is a duplicate and skips the minimality
-    test: minimality and width are class invariants, and a key is stored
-    only after passing both.  A new key is filtered for minimality and for
-    width exactly d; the first tuple hitting a class (smallest (tag, values))
-    is the stored representative.
-
     The tuples are those of ``iter_type_params``, drawn from the very
     ranges and side conditions that ``generate`` checks, so the polygons
     are built without that check, and a ``TypeParams`` is built only for a
     stored representative.
 
     Every family polygon lies in [0, d]^2, and most tuples give an image of
-    an earlier tuple's polygon under one of the 8 symmetries of that square.
-    So the canonical forms are memoized under vertex sets, each keyed by an
-    integer: the sum of 2^(x*(d+1) + y) over the set V.  The exponent
-    x*(d+1) + y is the index of (x, y) in base d + 1, one bit per point of
-    the square, so the key is V's bit set and different sets get different
-    keys.  The key is taken from the formula points, whose set is the
-    vertex set: for d >= 1 they are the vertex cycle (see ``generate``),
-    and at d = 0 they are one point three times.  When a form is computed,
-    it is memoized under the keys of all 8 images of V, and every tuple
-    looks up its own key once.  That finds exactly the earlier polygons of
-    which it is an image: the 8 symmetries form a group, so V = g(W) for a
-    symmetry g exactly when g^-1(V) = W.  The memo is exact: a square
-    symmetry is a unimodular map, so an image has the same canonical form,
-    and every step after the form is unchanged.  Hence the classes, their
-    representatives and the per-tag stats are the same as when every tuple
-    is keyed afresh.  A polygon is built only for a memo miss or a new
-    class key, and once for a tuple that is both.
+    an earlier tuple's polygon under a symmetry of that square or, for
+    T3..T5, of the hexagon (d, l).  ``_orbit`` lists these images as maps
+    on the parameter values, so the tuples fall into orbits whose polygons
+    are unimodular images of one another.  The walk builds a polygon only
+    for the first tuple of each orbit in ``iter_type_params`` order.  That
+    tuple is keyed by its canonical form; a key already stored is a
+    duplicate, and a new key is filtered for minimality and for width
+    exactly d and is stored if it passes.  Its outcome then waits in
+    ``pending`` under every later tuple of the orbit, and a tuple found
+    there builds nothing and counts that outcome.
 
-    T3..T5 with shoulder l lie in the hexagon (d, l), which has one more
-    symmetry: the rotation rho_l(x, y) = (d - y, x - y + d - l).  Its
-    linear part [[0, -1], [1, -1]] has determinant 1 and cube the
-    identity, so rho_l is unimodular of order 3.  It permutes the
-    hexagon's vertices in two 3-cycles, (0,0) -> (d,d-l) -> (l,d) -> (0,0)
-    and (l,0) -> (d,d) -> (0,d-l) -> (l,0), so it maps the hexagon onto
-    itself.  Every T3..T5 formula point is on the hexagon's boundary (see
-    ``generate``), so the rotated points stay in [0, d]^2, where the key is
-    defined.  On a memo miss of such a tuple, the form is stored under the
-    8 square keys of each of V, rho_l(V) and rho_l^2(V).  All of them are
-    unimodular images of V and have its canonical form, so the memo stays
-    exact by the argument above.
+    The stats and classes are those of keying every tuple afresh.  The
+    canonical form, minimality and width are class invariants, so all the
+    tuples of an orbit are duplicates, non-minimal or of the wrong width
+    with its first tuple, except that the tuple storing a class has its
+    later orbit mates as duplicates.  Each tuple still counts once, under
+    its own tag, because orbits never join two tags.  The stored
+    representative is the first tuple of its class: an earlier tuple of
+    the class would be in another orbit, and keyed before it.  Tuples of
+    different orbits in one class are still caught by the class key.
     """
     if d < 0:
         raise OutOfRange("width must be nonnegative")
     stats = EnumerationStats.empty()
     classes: dict[str, MinimalClass] = {}
-    forms: dict[int, CanonicalForm] = {}
-    for tag, values in _iter_values(d):
+    pending: dict[tuple[str, tuple[int, ...]], dict[str, int]] = {}
+    for item in _iter_values(d):
+        tag, values = item
         stats.generated[tag] += 1
-        points = _family_points(tag, d, values)
-        form = forms.get(_point_key(points, d))
-        poly = None
-        if form is None:
-            poly = _family_polygon(points, d)
-            form = canonical_form(poly)
-            images = [points]
-            if _FIELD_NAMES[tag][0] == "l":
-                images.append(_hexagon_rotation(points, d, values[0]))
-                images.append(_hexagon_rotation(images[1], d, values[0]))
-            for image in images:
-                for image_key in _orbit_keys(image, d):
-                    forms[image_key] = form
+        outcome = pending.pop(item, None)
+        if outcome is not None:
+            outcome[tag] += 1
+            continue
+        poly = _family_polygon(_family_points(tag, d, values), d)
+        form = canonical_form(poly)
         key = form.byte_key
+        outcome = stats.duplicates  # the outcome of the orbit's later tuples
         if key in classes:
-            stats.duplicates[tag] += 1
-            continue
-        if poly is None:
-            poly = _family_polygon(points, d)
-        report = is_minimal(poly)
-        if not report.is_minimal:
-            stats.non_minimal[tag] += 1
-            continue
-        if report.width != d:
-            stats.wrong_width[tag] += 1
-            continue
-        params = TypeParams(tag, d, tuple(zip(_FIELD_NAMES[tag], values)))
-        classes[key] = MinimalClass(
-            form, params, lattice_point_count(poly), doubled_area(poly)
-        )
+            outcome[tag] += 1
+        else:
+            report = is_minimal(poly)
+            if report.is_minimal and report.width == d:
+                params = TypeParams(tag, d, tuple(zip(_FIELD_NAMES[tag], values)))
+                classes[key] = MinimalClass(
+                    form, params, lattice_point_count(poly), doubled_area(poly)
+                )
+            else:
+                outcome = stats.wrong_width if report.is_minimal else stats.non_minimal
+                outcome[tag] += 1
+        for image in _orbit(tag, d, values):
+            if image != values:
+                pending[tag, image] = outcome
     ordered = sorted(classes.values(), key=lambda c: (c.point_count, c.key))
     return tuple(ordered), stats
 

@@ -27,7 +27,7 @@ from .classify import (
 from .core import OutOfRange, Polygon, UnimodularMap, polygon_from_json
 from .minimal import MinimalityReport, is_minimal
 from .svg import render_figure
-from .width import lattice_size_square, lattice_width
+from .width import _square_size, lattice_size_square, lattice_width
 
 COORD_LIMIT = 10**6
 WIDTH_LIMIT = 16
@@ -131,10 +131,9 @@ def _report_json(rep: MinimalityReport) -> dict:
 # the command line and returns the JSON object that the subcommand prints.
 def _width(p: Polygon) -> dict:
     w = lattice_width(p)
-    s = lattice_size_square(p)
     return {
         "lw": w.width,
-        "ls_square": s.size,
+        "ls_square": _square_size(p),
         "directions": [list(v) for v in w.directions],
     }
 

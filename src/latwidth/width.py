@@ -277,16 +277,30 @@ def _witness_from_rows(p: Polygon, v: Vec, w: Vec) -> UnimodularMap:
     return UnimodularMap(v[0], v[1], w[0], w[1], -mx, -my)
 
 
+def _square_size(p: Polygon) -> int:
+    """The lattice size of p with respect to the unit square, without the
+    witness of ``lattice_size_square``: 0 for a point, the lattice length
+    for a segment, and lambda2 = N(b2) of the reduced basis for a
+    2-dimensional p.  It lists no directions, so its cost is that of the
+    reduction, logarithmic in the coordinates."""
+    if p.dimension == 0:
+        return 0
+    if p.dimension == 1:
+        (ax, ay), (bx, by) = p.vertices
+        return gcd(bx - ax, by - ay)
+    return _standard_reduction(p)[3]
+
+
 def lattice_size_square(p: Polygon) -> SizeResult:
     """Smallest s such that a unimodular image of p fits in [0, s]^2.
 
     p fits in [0,s]^2 exactly when some lattice basis (v, w) has both widths
     at most s.  In the plane the two successive minima of the width norm are
     attained by a basis, so for a 2-dimensional p the size is lambda2, read
-    off the reduced basis.  The witness rows are v, the first of the
-    directions of width at most lambda2 (``_directions_within``) in
-    increasing (|x|, |y|, v) order, and w, the first of them with
-    |det(v, w)| = 1, so ties resolve deterministically.
+    off the reduced basis by ``_square_size``.  The witness rows are v, the
+    first of the directions of width at most lambda2
+    (``_directions_within``) in increasing (|x|, |y|, v) order, and w, the
+    first of them with |det(v, w)| = 1, so ties resolve deterministically.
 
     Such a w always exists.  lambda2 is attained by a basis, so one of its
     vectors u is independent of v, and the triangle conv(0, v, u) lies in
@@ -296,20 +310,17 @@ def lattice_size_square(p: Polygon) -> SizeResult:
     direction of width at most lambda2.  So this is also the first pair
     with |det| = 1 in the order above.
     """
+    size = _square_size(p)
     if p.dimension == 0:
         vtx = p.vertices[0]
-        return SizeResult(0, translation((-vtx[0], -vtx[1])))
+        return SizeResult(size, translation((-vtx[0], -vtx[1])))
     if p.dimension == 1:
         a, b = p.vertices
-        seg = sub(b, a)
-        length = gcd(abs(seg[0]), abs(seg[1]))
-        e = make_primitive(seg)
+        e = make_primitive(sub(b, a))
         _, s, t = _xgcd(e[0], e[1])
-        return SizeResult(length, _witness_from_rows(p, (-e[1], e[0]), (s, t)))
+        return SizeResult(size, _witness_from_rows(p, (-e[1], e[0]), (s, t)))
 
-    basis = _standard_reduction(p)
-    size = basis[3]
-    candidates = _directions_within(p, basis, size)
+    candidates = _directions_within(p, _standard_reduction(p), size)
     v = candidates[0]
     w = next(w for w in candidates if abs(cross(v, w)) == 1)
     return SizeResult(size, _witness_from_rows(p, v, w))

@@ -33,6 +33,7 @@ from latwidth import (
 from math import gcd
 
 from latwidth.canonical import _MIRROR, _matrix_sending_to_x_axis
+from latwidth.classify import _family_points
 from latwidth.core import IDENTITY_MAP, NotAVertex, _xgcd, cross, lattice_points, make_primitive, polygon_from_cycle, sub
 from latwidth.width import _reduced_basis, _witness_from_rows, normalize_sign, sort_directions
 
@@ -362,7 +363,7 @@ def canonical_oracle(p: Polygon):
 
 
 def enumerate_minimal_oracle(d: int):
-    """The family-driven enumeration without the orbit memo: every tuple is
+    """The family-driven enumeration without the orbit walk: every tuple is
     generated and keyed by a fresh ``canonical_form``.  The reference for
     ``enumerate_minimal_with_stats``."""
     stats = EnumerationStats.empty()
@@ -387,6 +388,71 @@ def enumerate_minimal_oracle(d: int):
         )
     ordered = sorted(classes.values(), key=lambda c: (c.point_count, c.key))
     return tuple(ordered), stats
+
+
+def point_key(points, d: int) -> int:
+    """The bit set over [0, d]^2 of a set of points in it, bit x*(d+1) + y
+    for (x, y); repeated points count once, and different sets get
+    different keys."""
+    w = d + 1
+    key = 0
+    for x, y in points:
+        key |= 1 << (x * w + y)
+    return key
+
+
+def orbit_keys(points, d: int) -> set:
+    """The ``point_key``s of the images of the point set under the 8
+    symmetries of [0, d]^2: (x, y) -> (x or d - x, y or d - y), optionally
+    swapped.
+
+    The point (x, y) has the bit i = x*(d+1) + y, its reflection (x, d - y)
+    the bit j = x*(d+1) + d - y, and the half turn (d - x, d - y) sends the
+    bit i to last - i, with last = (d+1)^2 - 1.  So one pass over the set
+    and one over its swap give all 8 keys: each set, its reflection, and
+    the half turns of both."""
+    w = d + 1
+    last = w * w - 1
+    keys = set()
+    for image in (points, [(y, x) for x, y in points]):
+        same = turned = reflected = reflected_turned = 0
+        for x, y in image:
+            i, j = x * w + y, x * w + d - y
+            same |= 1 << i
+            turned |= 1 << (last - i)
+            reflected |= 1 << j
+            reflected_turned |= 1 << (last - j)
+        keys.update((same, turned, reflected, reflected_turned))
+    return keys
+
+
+def hexagon_rotation(points, d: int, l: int) -> list:
+    """The images of the points under rho_l(x, y) = (d - y, x - y + d - l),
+    the lattice rotation of order 3 that maps the hexagon (d, l) onto
+    itself."""
+    return [(d - y, x - y + d - l) for x, y in points]
+
+
+def keyed_orbits(d: int) -> dict:
+    """For each family tuple (tag, values) of width d, the set of family
+    tuples whose formula points are an image of its own, or of their
+    ``hexagon_rotation`` images for T3..T5, under a symmetry of the square:
+    the tuples whose ``point_key`` is among those images' ``orbit_keys``.
+    The reference for ``classify._orbit``."""
+    tuples = [(t.tag, tuple(value for _, value in t.values)) for t in iter_type_params(d)]
+    points = {(tag, values): _family_points(tag, d, values) for tag, values in tuples}
+    by_key = {point_key(points[t], d): t for t in tuples}
+    if len(by_key) != len(tuples):
+        raise ValueError(f"two tuples of width {d} share their formula points")
+    orbits = {}
+    for tag, values in tuples:
+        images = [points[tag, values]]
+        if tag in ("T3", "T4", "T5"):
+            images.append(hexagon_rotation(images[0], d, values[0]))
+            images.append(hexagon_rotation(images[1], d, values[0]))
+        keys = set().union(*(orbit_keys(image, d) for image in images))
+        orbits[tag, values] = {by_key[key] for key in keys if key in by_key}
+    return orbits
 
 
 def naive_lattice_points(p: Polygon) -> frozenset:

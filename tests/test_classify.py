@@ -1,5 +1,6 @@
 import hashlib
 import os
+from collections import Counter
 
 import pytest
 
@@ -30,11 +31,17 @@ from latwidth import (
     upsilon,
 )
 import latwidth.classify as classify_module
-from latwidth.classify import TAGS, _family_points, _hexagon_rotation, _orbit_keys, _point_key
+from latwidth.classify import TAGS, _family_points, _iter_values, _orbit
+from latwidth.minimal import MinimalityReport
+import conftest
 from conftest import (
     enumerate_minimal_oracle,
+    hexagon_rotation,
     inscription_oracle,
+    keyed_orbits,
     naive_lattice_points,
+    orbit_keys,
+    point_key,
     random_hull,
     random_unimodular,
 )
@@ -342,8 +349,8 @@ def test_orbit_keys_are_the_keys_of_the_eight_square_images():
                 for flip_y in (False, True):
                     image = [(d - x if flip_x else x, d - y if flip_y else y) for x, y in vertices]
                     images += [image, [(y, x) for x, y in image]]
-            assert _point_key(vertices, d) == bit_set(vertices)
-            assert _orbit_keys(vertices, d) == {bit_set(image) for image in images}, t
+            assert point_key(vertices, d) == bit_set(vertices)
+            assert orbit_keys(vertices, d) == {bit_set(image) for image in images}, t
 
 
 def test_hexagon_rotation_is_a_symmetry_of_the_shoulder_families():
@@ -355,21 +362,42 @@ def test_hexagon_rotation_is_a_symmetry_of_the_shoulder_families():
                 continue
             l = t["l"]
             corners = hexagon(d, l).vertices
-            assert sorted(_hexagon_rotation(corners, d, l)) == sorted(corners), t
+            assert sorted(hexagon_rotation(corners, d, l)) == sorted(corners), t
             points = _family_points(t.tag, d, [value for _, value in t.values])
-            once = _hexagon_rotation(points, d, l)
-            twice = _hexagon_rotation(once, d, l)
-            assert _hexagon_rotation(twice, d, l) == points, t
+            once = hexagon_rotation(points, d, l)
+            twice = hexagon_rotation(once, d, l)
+            assert hexagon_rotation(twice, d, l) == points, t
             form = canonical_form(generate(t))
             for image in (once, twice):
                 assert all(0 <= x <= d and 0 <= y <= d for x, y in image), t
                 assert canonical_form(convex_hull(image)) == form, t
 
 
+@pytest.mark.parametrize("d", range(9))
+def test_parameter_orbits_are_the_keyed_images(d):
+    # the closed-form maps of _orbit find exactly the tuples whose point
+    # sets are square images of the tuple's points or of their hexagon
+    # rotations; the keyed images hold tuples of every tag, so an orbit
+    # equal to them never crosses a tag
+    for (tag, values), keyed in keyed_orbits(d).items():
+        assert {(tag, image) for image in _orbit(tag, d, values)} == keyed, (tag, values)
+
+
+@pytest.mark.parametrize("d, orbits", [(8, 636), (10, 2676)])
+def test_parameter_orbits_part_the_tuples(d, orbits):
+    # every image is a tuple of the same tag, and the orbits are disjoint
+    tuples = set(_iter_values(d))
+    found = {frozenset((tag, image) for image in _orbit(tag, d, values)) for tag, values in tuples}
+    assert set().union(*found) == tuples
+    assert sum(map(len, found)) == len(tuples)
+    assert len(found) == orbits
+
+
 @pytest.mark.parametrize("d, forms", [(8, 636), (10, 2676)])
 def test_orbit_memo_computes_few_canonical_forms(monkeypatch, d, forms):
-    # the square symmetries and the hexagon rotation leave few misses: 628
-    # and 2,656 classes, against 1,016 and 5,330 forms with the square alone
+    # the walk keys one tuple per orbit of the square symmetries and the
+    # hexagon rotation: 628 and 2,656 classes, against 1,016 and 5,330
+    # forms with the square alone
     calls = []
 
     def counted(p):
@@ -381,13 +409,58 @@ def test_orbit_memo_computes_few_canonical_forms(monkeypatch, d, forms):
     assert len(calls) == forms
 
 
-@pytest.mark.parametrize("d", range(10))
+def summary(classes):
+    return [(c.key, c.params, c.point_count, c.doubled_area) for c in classes]
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        *range(11),
+        *(pytest.param(d, marks=pytest.mark.skipif(
+            not os.environ.get("LATWIDTH_SLOW"),
+            reason="walking widths 11 and 12 against the oracle takes about 15 s; "
+            "set LATWIDTH_SLOW=1 to run",
+        )) for d in (11, 12)),
+    ],
+)
 def test_orbit_memo_matches_the_unmemoized_loop(d):
+    # the orbit walk against the loop that keys every tuple afresh: classes,
+    # representatives, point counts, areas and every per-tag count
     classes, stats = enumerate_minimal_with_stats(d)
     expected, expected_stats = enumerate_minimal_oracle(d)
-    summary = lambda cs: [(c.key, c.params, c.point_count, c.doubled_area) for c in cs]
     assert summary(classes) == summary(expected)
     assert stats == expected_stats
+
+
+def test_orbit_walk_counts_a_rejected_class_as_non_minimal(monkeypatch):
+    # no family tuple is non-minimal, so reject the class with the most
+    # tuples at width 8, which spans more than one orbit: its first tuple
+    # fails the test, and the rest of its orbits must count as non-minimal
+    # too, tag by tag, as in the oracle
+    d = 8
+    params = list(iter_type_params(d))
+    keys = [canonical_form(generate(t)).byte_key for t in params]
+    rejected = max(sorted(set(keys)), key=keys.count)
+    in_class = [
+        (t.tag, tuple(value for _, value in t.values)) for t, key in zip(params, keys) if key == rejected
+    ]
+    assert len({frozenset(_orbit(tag, d, values)) for tag, values in in_class}) > 1
+
+    def rejecting(p):
+        report = is_minimal(p)
+        if canonical_form(p).byte_key == rejected:
+            return MinimalityReport(False, p.vertices[0], report.width)
+        return report
+
+    monkeypatch.setattr(classify_module, "is_minimal", rejecting)
+    monkeypatch.setattr(conftest, "is_minimal", rejecting)
+    classes, stats = enumerate_minimal_with_stats(d)
+    expected, expected_stats = enumerate_minimal_oracle(d)
+    assert summary(classes) == summary(expected)
+    assert stats == expected_stats
+    assert rejected not in {c.key for c in classes}
+    assert stats.non_minimal == Counter(tag for tag, _ in in_class)
 
 
 def test_vertex_count_ceilings_per_tag():

@@ -13,6 +13,8 @@ import latwidth.classify as classify_module
 from latwidth.cli import main
 from latwidth.minimal import MinimalityReport, is_minimal
 from latwidth.svg import MAX_SIDE
+from latwidth.width import lattice_size_square, lattice_width
+from conftest import random_hull
 
 
 def write_polygon(path, vertices):
@@ -120,8 +122,8 @@ def test_width_and_size_of_the_square_at_the_coordinate_limit(tmp_path):
 
 
 def test_width_and_size_of_the_flat_triangle_in_bounded_time(tmp_path):
-    # bounded but linear in the coordinates: the size witness is picked
-    # from about 10^6 directions of width at most lambda2
+    # lattice-size is bounded but linear in the coordinates: its witness is
+    # picked from about 10^6 directions of width at most lambda2
     vertices = [[0, 0], [1_000_000, 0], [0, 1]]
     f = write_polygon(tmp_path / "flat.json", vertices)
     data = _run_cli_process("width", f, timeout=10)
@@ -130,6 +132,31 @@ def test_width_and_size_of_the_flat_triangle_in_bounded_time(tmp_path):
     data = _run_cli_process("lattice-size", f, timeout=10)
     assert data["ls_square"] == 1_000_000
     _assert_witness_fits(data["witness"], vertices, 1_000_000)
+
+
+def test_width_answer_is_the_width_and_the_lattice_size(minimality_corpus, rng):
+    # width reads the size off the reduced basis; lattice_size_square reads
+    # it there too and adds the witness
+    polygons = minimality_corpus + [random_hull(rng) for _ in range(2_000)]
+    for p in polygons:
+        w = lattice_width(p)
+        assert cli._width(p) == {
+            "lw": w.width,
+            "ls_square": lattice_size_square(p).size,
+            "directions": [list(v) for v in w.directions],
+        }, p.vertices
+
+
+def test_width_of_the_flat_triangle_lists_no_size_witness(capsys, monkeypatch, tmp_path):
+    # lattice_size_square would list about 10^6 witness candidates
+    def refuse(p):
+        raise AssertionError("width called lattice_size_square")
+
+    monkeypatch.setattr(cli, "lattice_size_square", refuse)
+    f = write_polygon(tmp_path / "flat.json", [[0, 0], [1_000_000, 0], [0, 1]])
+    code, out, _ = run(capsys, "width", f)
+    assert code == 0
+    assert out == '{"lw": 1, "ls_square": 1000000, "directions": [[0, 1]]}\n'
 
 
 def test_minimal_of_large_polygons_in_bounded_time(tmp_path):
@@ -196,9 +223,10 @@ def test_enumerate_command(capsys):
 
 
 # sha256 of the stdout bytes of `latwidth enumerate d`, recorded for d <= 9
-# before the orbit memo and the canonical-form pruning, and for d >= 10
-# before the hexagon rotation joined the memo; the printed keys,
-# representatives and order must not move
+# before the enumerator skipped symmetric tuples and before the
+# canonical-form pruning, and for d = 10 before the hexagon rotation joined
+# the symmetries; the orbit walk keys one tuple per orbit, and the printed
+# keys, representatives and order must not move
 ENUMERATE_SHA256 = {
     0: "a4d88014512538dfc85cc250cb87191a76c01a3e10d627a914f20a96f5093788",
     1: "d92cda5345bf5021bfc4995427829d8dd748ec2e3278e55f387530616415d08e",
