@@ -27,7 +27,7 @@ from .classify import (
 from .core import OutOfRange, Polygon, UnimodularMap, polygon_from_json
 from .minimal import MinimalityReport, is_minimal
 from .svg import render_figure
-from .width import _square_size, lattice_size_square, lattice_width
+from .width import lattice_size_square, lattice_width
 
 COORD_LIMIT = 10**6
 WIDTH_LIMIT = 16
@@ -133,7 +133,7 @@ def _width(p: Polygon) -> dict:
     w = lattice_width(p)
     return {
         "lw": w.width,
-        "ls_square": _square_size(p),
+        "ls_square": lattice_size_square(p).size,
         "directions": [list(v) for v in w.directions],
     }
 

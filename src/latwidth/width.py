@@ -16,10 +16,10 @@ round, whatever the shape of p.
 Bounded questions are answered from the same reduced basis.  Whether
 lambda1 is at most b is a comparison of N(b1) with b; for a polygon inside
 p, such as p with a vertex deleted, the reduction starts from p's reduced
-basis and needs few rounds.  The directions of width at most b are the
-a*b1 + c*b2 with 0 <= c <= 2b/lambda2 and |a| <= (b + c*lambda2)/lambda1,
-and along each c they form one interval of a, so ``_directions_within``
-finds its ends by binary search, whatever the size of p's coordinates.
+basis and needs few rounds.  The width directions are among ten fixed
+combinations of b1 and b2, and the size witness adds two bisections along
+one row of the basis, so neither lists directions, whatever the size of
+p's coordinates.
 """
 
 from __future__ import annotations
@@ -193,58 +193,21 @@ def _standard_reduction(p: Polygon) -> tuple[Vec, int, Vec, int]:
     return _reduced_basis(p)
 
 
-def _directions_within(
-    p: Polygon, basis: tuple[Vec, int, Vec, int], bound: int
-) -> list[Vec]:
-    """Primitive sign-normalized directions v with ``N(v) <= bound``, for
-    the width norm N of a 2-dimensional p and a reduced basis
-    (b1, n1, b2, n2) of it, sorted by (|x|, |y|, v).  The bound is one of
-    the successive minima: lambda1 = n1 for the width directions of
-    ``lattice_width``, and lambda2 = n2 for the witness candidates of
-    ``lattice_size_square``.  The argument below holds for any bound.
+# (c, a) of the candidates c*b2 + a*b1 that can tie b1 when n1 = n2
+_TIE_CANDIDATES = tuple((1, a) for a in range(-2, 3)) + tuple((2, a) for a in (-3, -1, 1, 3))
 
-    Every v is a*b1 + c*b2, and one of +-v has c > 0 or is b1.  For c >= 1
-    the reduced basis gives N(v) >= c*n2/2 (see ``_reduced_basis``; for
-    c = 1, N(v) >= n2 directly), so N(v) <= bound needs c <= 2*bound/n2,
-    and c = 1 needs n2 <= bound.  The triangle inequality on
-    a*b1 = v - c*b2 gives |a|*n1 <= N(v) + c*n2 <= bound + c*n2, which
-    bounds a.
 
-    Along a row c, f(a) = N(a*b1 + c*b2) is convex, so the a with
-    f(a) <= bound form one interval around any minimizer m of f.  As
-    N(b2) <= N(b2 + k*b1) for every integer k, m = 0 for c = 1, and the
-    convex t -> N(b2 + t*b1) has a real minimizer in [-1, 1], so
-    f = c*N(b2 + (a/c)*b1) has an integer minimizer in [-c, c]: the first
-    a there with f(a + 1) >= f(a).  f does not increase up to m and does
-    not decrease from m, and every a within the bound has |a| <= reach, so
-    the first end is the first a in [-reach, m] with f(a) <= bound, and
-    the last end is one below the first a in [m, reach + 1] with
-    f(a) > bound.  ``_first`` bisects each end in O(log reach) evaluations
-    of N, and the primitive candidates between the ends, gcd(a, c) = 1,
-    are listed without evaluating N.
-    """
+def _width_directions(p: Polygon, basis: tuple[Vec, int, Vec, int]) -> list[Vec]:
+    """The sign-normalized width directions of a 2-dimensional p from a
+    reduced basis (b1, n1, b2, n2) of it, b1 first; see ``lattice_width``."""
     b1, n1, b2, n2 = basis
-    found = [normalize_sign(b1)] if n1 <= bound else []
-    for c in range(1 if n2 <= bound else 2, 2 * bound // n2 + 1):
-        values: dict[int, int] = {}  # the searches below revisit points
-
-        def f(a: int) -> int:
-            if a not in values:
-                values[a] = width_in_direction(p, (a * b1[0] + c * b2[0], a * b1[1] + c * b2[1]))
-            return values[a]
-
-        reach = (bound + c * n2) // n1
-        m = 0 if c == 1 else _first(lambda a: f(a + 1) >= f(a), -c, c)
-        if f(m) > bound:
-            continue
-        first = _first(lambda a: f(a) <= bound, -reach, m)
-        last = _first(lambda a: f(a) > bound, m, reach + 1) - 1
-        found.extend(
-            normalize_sign((a * b1[0] + c * b2[0], a * b1[1] + c * b2[1]))
-            for a in range(first, last + 1)
-            if gcd(a, c) == 1
-        )
-    return sorted(found, key=lambda v: (abs(v[0]), abs(v[1]), v))
+    found = [normalize_sign(b1)]
+    if n2 == n1:
+        for c, a in _TIE_CANDIDATES:
+            v = (c * b2[0] + a * b1[0], c * b2[1] + a * b1[1])
+            if width_in_direction(p, v) == n1:
+                found.append(normalize_sign(v))
+    return found
 
 
 def lattice_width(p: Polygon) -> WidthResult:
@@ -253,11 +216,16 @@ def lattice_width(p: Polygon) -> WidthResult:
     A point has width 0 and no directions; a segment has width 0 with the
     single primitive direction orthogonal to it.
 
-    For a 2-dimensional p, a reduced basis (b1, b2) of the width norm N
-    gives the width lambda1 = N(b1), and the width directions are the
-    directions of width at most lambda1, listed by ``_directions_within``.
-    When N(b2) > N(b1), b1 is the only one: a second would be independent
-    of b1 and make lambda2 = lambda1.  A lattice polygon has at most four width directions
+    For a 2-dimensional p, a reduced basis (b1, n1, b2, n2) of the width
+    norm N gives the width lambda1 = n1.  When n2 > n1, b1 is the only
+    width direction: a second would be independent of b1 and make
+    lambda2 = lambda1.  When n2 = n1, every other width direction is, up to
+    sign, v = a*b1 + c*b2 with c >= 1.  The reduced basis gives
+    N(v) >= c*n2/2 (see ``_reduced_basis``), so c <= 2, and the triangle
+    inequality on a*b1 = v - c*b2 gives |a|*n1 <= n1 + c*n2, so
+    |a| <= 1 + c.  With v primitive, that leaves ten candidates: b1,
+    b2 + a*b1 for |a| <= 2, and 2*b2 + a*b1 for a in {+-1, +-3}.
+    ``_width_directions`` keeps those of width n1.  At most four survive
     (Draisma, McAllister & Nill 2012).
     """
     if p.dimension == 0:
@@ -266,8 +234,11 @@ def lattice_width(p: Polygon) -> WidthResult:
         return WidthResult(0, (_segment_normal(p),))
 
     basis = _standard_reduction(p)
-    width = basis[1]
-    return WidthResult(width, sort_directions(_directions_within(p, basis, width)))
+    return WidthResult(basis[1], sort_directions(_width_directions(p, basis)))
+
+
+def _size_key(v: Vec) -> tuple:
+    return abs(v[0]), abs(v[1]), v
 
 
 def _witness_from_rows(p: Polygon, v: Vec, w: Vec) -> UnimodularMap:
@@ -277,51 +248,63 @@ def _witness_from_rows(p: Polygon, v: Vec, w: Vec) -> UnimodularMap:
     return UnimodularMap(v[0], v[1], w[0], w[1], -mx, -my)
 
 
-def _square_size(p: Polygon) -> int:
-    """The lattice size of p with respect to the unit square, without the
-    witness of ``lattice_size_square``: 0 for a point, the lattice length
-    for a segment, and lambda2 = N(b2) of the reduced basis for a
-    2-dimensional p.  It lists no directions, so its cost is that of the
-    reduction, logarithmic in the coordinates."""
-    if p.dimension == 0:
-        return 0
-    if p.dimension == 1:
-        (ax, ay), (bx, by) = p.vertices
-        return gcd(bx - ax, by - ay)
-    return _standard_reduction(p)[3]
-
-
 def lattice_size_square(p: Polygon) -> SizeResult:
     """Smallest s such that a unimodular image of p fits in [0, s]^2.
 
     p fits in [0,s]^2 exactly when some lattice basis (v, w) has both widths
     at most s.  In the plane the two successive minima of the width norm are
-    attained by a basis, so for a 2-dimensional p the size is lambda2, read
-    off the reduced basis by ``_square_size``.  The witness rows are v, the
-    first of the directions of width at most lambda2
-    (``_directions_within``) in increasing (|x|, |y|, v) order, and w, the
-    first of them with |det(v, w)| = 1, so ties resolve deterministically.
+    attained by a basis, so for a 2-dimensional p the size is lambda2 = n2
+    of the reduced basis (b1, n1, b2, n2).  The witness rows are v, the
+    first direction of width at most lambda2 in increasing (|x|, |y|, v)
+    order, and w, the first with |det(v, w)| = 1, so ties resolve
+    deterministically.  Such a w exists: one of b1, b2, say u, is
+    independent of v, the triangle conv(0, v, u) lies in {N <= lambda2},
+    and the cell on its primitive edge [0, v] of any unimodular
+    triangulation of it is conv(0, v, w) with |det(v, w)| = 1.
 
-    Such a w always exists.  lambda2 is attained by a basis, so one of its
-    vectors u is independent of v, and the triangle conv(0, v, u) lies in
-    the convex, symmetric set {N <= lambda2}.  Its edge [0, v] is
-    primitive, so in any unimodular triangulation of the triangle the
-    cell on that edge is conv(0, v, w) with |det(v, w)| = 1, and +-w is a
-    direction of width at most lambda2.  So this is also the first pair
-    with |det| = 1 in the order above.
+    When n2 = n1, the directions of width at most lambda2 are the width
+    directions.  When n2 > n1, they are b1 and the b2 + a*b1 with a in one
+    interval [lo, hi] around 0, whose ends two bisections find.  No other
+    row has any: 2*b2 + a*b1 with a odd is 2*(b2 + k*b1) +- b1, of width at
+    least 2*n2 - n1 > n2, and rows c >= 3 have width at least 3*n2/2.  Each
+    coordinate of b2 + a*b1 is linear in a, so the row's smallest key, at
+    a0, lies at lo, at hi or next to the zero of a coordinate.  As
+    det(b1, b2 + a*b1) = det(b1, b2) = +-1 for every a, w = row(a0) when
+    v = b1.  Otherwise v = row(a0), and det(row(a0), row(a)) is
+    (a0 - a)*det(b1, b2), so w is the first of b1 and row(a0 +- 1).
     """
-    size = _square_size(p)
     if p.dimension == 0:
         vtx = p.vertices[0]
-        return SizeResult(size, translation((-vtx[0], -vtx[1])))
+        return SizeResult(0, translation((-vtx[0], -vtx[1])))
     if p.dimension == 1:
         a, b = p.vertices
         e = make_primitive(sub(b, a))
         _, s, t = _xgcd(e[0], e[1])
+        size = gcd(b[0] - a[0], b[1] - a[1])
         return SizeResult(size, _witness_from_rows(p, (-e[1], e[0]), (s, t)))
 
-    candidates = _directions_within(p, _standard_reduction(p), size)
-    v = candidates[0]
-    w = next(w for w in candidates if abs(cross(v, w)) == 1)
-    return SizeResult(size, _witness_from_rows(p, v, w))
+    basis = _standard_reduction(p)
+    b1, n1, b2, n2 = basis
+    if n2 == n1:
+        candidates = sorted(_width_directions(p, basis), key=_size_key)
+        v = candidates[0]
+        w = next(w for w in candidates if abs(cross(v, w)) == 1)
+        return SizeResult(n2, _witness_from_rows(p, v, w))
 
+    def row(a: int) -> Vec:
+        return normalize_sign((b2[0] + a * b1[0], b2[1] + a * b1[1]))
+
+    def f(a: int) -> int:
+        return width_in_direction(p, row(a))
+
+    reach = 2 * n2 // n1
+    lo = _first(lambda a: f(a) <= n2, -reach, 0)
+    hi = _first(lambda a: f(a) > n2, 0, reach + 1) - 1
+    zeros = [-b2[i] // b1[i] for i in (0, 1) if b1[i]]
+    near = {lo, hi} | {min(max(a, lo), hi) for z in zeros for a in (z, z + 1)}
+    a0 = min(near, key=lambda a: _size_key(row(a)))
+    u1 = normalize_sign(b1)
+    v, w = sorted((u1, row(a0)), key=_size_key)
+    if v != u1:
+        w = min([u1] + [row(a) for a in (a0 - 1, a0 + 1) if lo <= a <= hi], key=_size_key)
+    return SizeResult(n2, _witness_from_rows(p, v, w))

@@ -169,8 +169,8 @@ def _last_within(f, a: int, hi: int, bound: int) -> int:
 def listing_oracle(p: Polygon, basis, bound: int) -> list:
     """The directions of width at most the bound from a reduced basis, row
     by row, with each end of a row found by galloping out from the row's
-    minimizer; the reference for the bisected ends of
-    ``_directions_within``."""
+    minimizer, sorted by (|x|, |y|, v); at the bound lambda1 the reference
+    for the width directions, and at lambda2 for the size witness."""
     b1, n1, b2, n2 = basis
     found = [normalize_sign(b1)] if n1 <= bound else []
     for c in range(1 if n2 <= bound else 2, 2 * bound // n2 + 1):

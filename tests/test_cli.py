@@ -122,12 +122,13 @@ def test_width_and_size_of_the_square_at_the_coordinate_limit(tmp_path):
 
 
 def test_width_and_size_of_the_flat_triangle_in_bounded_time(tmp_path):
-    # lattice-size is bounded but linear in the coordinates: its witness is
-    # picked from about 10^6 directions of width at most lambda2
+    # about 10^6 directions have width at most lambda2 = 10^6; both commands
+    # read the size and its witness off the reduced basis without them
     vertices = [[0, 0], [1_000_000, 0], [0, 1]]
     f = write_polygon(tmp_path / "flat.json", vertices)
-    data = _run_cli_process("width", f, timeout=10)
-    assert data["lw"] == 1 and data["ls_square"] == 1_000_000
+    done = _cli_process("width", f, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == '{"lw": 1, "ls_square": 1000000, "directions": [[0, 1]]}\n'
 
     data = _run_cli_process("lattice-size", f, timeout=10)
     assert data["ls_square"] == 1_000_000
@@ -135,8 +136,8 @@ def test_width_and_size_of_the_flat_triangle_in_bounded_time(tmp_path):
 
 
 def test_width_answer_is_the_width_and_the_lattice_size(minimality_corpus, rng):
-    # width reads the size off the reduced basis; lattice_size_square reads
-    # it there too and adds the witness
+    # width prints the width, the size of lattice_size_square and the
+    # directions, in that order
     polygons = minimality_corpus + [random_hull(rng) for _ in range(2_000)]
     for p in polygons:
         w = lattice_width(p)
@@ -145,18 +146,6 @@ def test_width_answer_is_the_width_and_the_lattice_size(minimality_corpus, rng):
             "ls_square": lattice_size_square(p).size,
             "directions": [list(v) for v in w.directions],
         }, p.vertices
-
-
-def test_width_of_the_flat_triangle_lists_no_size_witness(capsys, monkeypatch, tmp_path):
-    # lattice_size_square would list about 10^6 witness candidates
-    def refuse(p):
-        raise AssertionError("width called lattice_size_square")
-
-    monkeypatch.setattr(cli, "lattice_size_square", refuse)
-    f = write_polygon(tmp_path / "flat.json", [[0, 0], [1_000_000, 0], [0, 1]])
-    code, out, _ = run(capsys, "width", f)
-    assert code == 0
-    assert out == '{"lw": 1, "ls_square": 1000000, "directions": [[0, 1]]}\n'
 
 
 def test_minimal_of_large_polygons_in_bounded_time(tmp_path):

@@ -17,7 +17,7 @@ from latwidth import (
     width_in_direction,
 )
 from latwidth.core import _xgcd, cross, dot
-from latwidth.width import _directions_within, _first, _reduced_basis, _witness_from_rows
+from latwidth.width import _first, _reduced_basis, _witness_from_rows, sort_directions
 from conftest import (
     listing_oracle,
     naive_lattice_width,
@@ -26,7 +26,6 @@ from conftest import (
     random_polygon,
     random_unimodular,
     reduction_oracle,
-    region_scan_directions,
     region_scan_size,
     region_scan_width,
     spread_oracle,
@@ -232,10 +231,10 @@ def test_width_and_size_match_the_region_scan(rng):
 
 def _pair_loop_size(p):
     """Lattice size of a 2-dimensional p with the witness of the pair loop
-    that scans every v of the listing, each against every w, for the first
-    pair with |det| = 1."""
+    that scans every v of the listing of the directions of width at most
+    lambda2, each against every w, for the first pair with |det| = 1."""
     basis = _reduced_basis(p)
-    candidates = _directions_within(p, basis, basis[3])
+    candidates = listing_oracle(p, basis, basis[3])
     for v in candidates:
         for w in candidates:
             if abs(cross(v, w)) == 1:
@@ -258,28 +257,56 @@ def test_size_witness_matches_the_pair_loop(rng):
         assert lattice_size_square(p) == _pair_loop_size(p), p.vertices
 
 
-def test_listing_matches_the_region_scan(rng):
-    # bounds on both sides of both successive minima, where the c = 1 and
-    # c = 2 rows of the listing switch on
-    for p in _region_scan_corpus(rng):
-        basis = _reduced_basis(p)
-        _, n1, _, n2 = basis
-        for bound in (n1 - 1, n1, n2, n2 + 1):
-            expected = region_scan_directions(p, bound)
-            assert _directions_within(p, basis, bound) == expected, (p.vertices, bound)
+def test_size_witness_of_thin_polygons_matches_the_pair_loop(rng):
+    # hulls in [0, D] x [0, h] under small unimodular maps: most have
+    # n2 > n1 and a long row b2 + a*b1 of directions of width at most n2,
+    # so they reach each branch of the row witness
+    cases, thin = set(), 0
+    for _ in range(1500):
+        D, h = rng.choice((20, 300, 3000)), rng.randint(1, 3)
+        q = convex_hull((rng.randint(0, D), rng.randint(0, h)) for _ in range(rng.randint(3, 6)))
+        if q.dimension < 2:
+            continue
+        p = apply_map(random_unimodular(rng), q)
+        got = lattice_size_square(p)
+        assert got == _pair_loop_size(p), p.vertices
+        b1, n1, b2, n2 = basis = _reduced_basis(p)
+        if n2 == n1:
+            continue
+        thin += 1
+        # a of each listed row direction +-(b2 + a*b1), in key order
+        row = [cross(v, b2) // cross(b1, v) for v in listing_oracle(p, basis, n2) if cross(b1, v)]
+        v = (got.witness.a11, got.witness.a12)
+        cases.add("v = b1" if v == normalize_sign(b1) else "v in the row")
+        if 0 in b1:
+            cases.add("b1 on an axis")
+        if row[0] in (min(row), max(row)):
+            cases.add("a0 at an end")
+    assert thin > 1000
+    assert cases == {"v = b1", "v in the row", "b1 on an axis", "a0 at an end"}
 
 
-def test_listing_bisects_each_row(monkeypatch):
-    # conv{(0,0),(10^4,0),(0,1)} has lambda2 = 10^4 and the 10^4 + 2
-    # directions (0,1) and (1,y), 0 <= y <= 10^4, of width at most that; a
-    # walk of the rows c = 1, 2 over their whole |a| bracket evaluates N
-    # about 7*10^4 times, bisection O(log reach) times per row
+def test_size_of_the_flat_triangle_lists_no_directions(monkeypatch):
+    # conv{(0,0),(10^6,0),(0,1)} has lambda2 = 10^6 and about 10^6
+    # directions of width at most that; the witness comes from two
+    # bisections of the row b2 + a*b1, without a list of those directions
+    # and with O(log reach) evaluations of the width norm
+    import tracemalloc
+
     import latwidth.width as width_module
 
-    p = convex_hull([(0, 0), (10**4, 0), (0, 1)])
-    basis = _reduced_basis(p)
-    bound = basis[3]
-    assert bound == 10**4
+    p = convex_hull([(0, 0), (10**6, 0), (0, 1)])
+    width_module._standard_reduction.cache_clear()
+    tracemalloc.start()
+    try:
+        size = lattice_size_square(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size.size == 10**6
+    assert peak < 10**6
+    # the basis stays cached, so only the witness's evaluations are counted
+    _, n1, _, n2 = width_module._standard_reduction(p)
     calls = []
 
     def counting(q, v):
@@ -287,14 +314,11 @@ def test_listing_bisects_each_row(monkeypatch):
         return width_in_direction(q, v)
 
     monkeypatch.setattr(width_module, "width_in_direction", counting)
-    found = _directions_within(p, basis, bound)
-    assert found == [(0, 1), (1, 0)] + [(1, y) for y in range(1, 10**4 + 1)]
-    # the listing evaluates N through the module-level name, so the bound
+    assert lattice_size_square(p) == size
+    # the witness evaluates N through the module-level name, so the bound
     # below counts every evaluation and cannot hold vacuously
     assert calls
-    rows = 2 * bound // basis[3]
-    reach = (bound + rows * basis[3]) // basis[1]
-    assert len(calls) <= rows * (4 * (2 * reach + 1).bit_length() + 1)
+    assert len(calls) <= 2 * (2 * n2 // n1 + 1).bit_length()
 
 
 def test_reduction_from_any_start_basis(rng):
@@ -389,24 +413,16 @@ def test_reduction_matches_the_oracle(rng, minimality_corpus):
     assert count > 14_000
 
 
-def test_listing_matches_the_oracle(rng, minimality_corpus):
-    # bounds on both sides of both successive minima, and the bound d - 1
-    # at which ``is_minimal`` lists a remainder's directions from p's basis
+def test_width_directions_and_size_witness_match_the_listing(rng, minimality_corpus):
+    # the public answers against the listing of the directions of width at
+    # most lambda1, and at most lambda2 through the pair loop
     count = 0
     for p in _search_corpus(rng, minimality_corpus):
         count += 1
         basis = _reduced_basis(p)
-        b1, n1, b2, n2 = basis
-        for bound in (n1 - 1, n1, n2, n2 + 1):
-            assert _directions_within(p, basis, bound) == listing_oracle(p, basis, bound), (
-                p.vertices, bound,
-            )
-        remainder = _without_a_vertex(rng, p)
-        if remainder.dimension == 2:
-            rest = _reduced_basis(remainder, (b1, b2))
-            assert _directions_within(remainder, rest, n1 - 1) == listing_oracle(
-                remainder, rest, n1 - 1
-            ), (remainder.vertices, n1 - 1)
+        expected = sort_directions(listing_oracle(p, basis, basis[1]))
+        assert lattice_width(p).directions == expected, p.vertices
+        assert lattice_size_square(p) == _pair_loop_size(p), p.vertices
     assert count > 14_000
 
 
