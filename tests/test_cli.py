@@ -148,6 +148,30 @@ def test_width_answer_is_the_width_and_the_lattice_size(minimality_corpus, rng):
         }, p.vertices
 
 
+def test_width_of_the_flat_triangle_lists_no_size_witness(capsys, monkeypatch, tmp_path):
+    # about 10^6 directions have width at most lambda2 = 10^6; width reads
+    # the size and its witness off the reduced basis with a few dozen
+    # evaluations of the width norm instead of listing them
+    import latwidth.width as width_module
+
+    calls = []
+    evaluate = width_module.width_in_direction
+
+    def counting(q, v):
+        calls.append(v)
+        return evaluate(q, v)
+
+    monkeypatch.setattr(width_module, "width_in_direction", counting)
+    width_module._standard_reduction.cache_clear()
+    f = write_polygon(tmp_path / "flat.json", [[0, 0], [1_000_000, 0], [0, 1]])
+    code, out, _ = run(capsys, "width", f)
+    assert code == 0
+    assert out == '{"lw": 1, "ls_square": 1000000, "directions": [[0, 1]]}\n'
+    # every evaluation goes through the module-level name, so the bound
+    # cannot hold vacuously
+    assert 0 < len(calls) <= 200
+
+
 def test_minimal_of_large_polygons_in_bounded_time(tmp_path):
     # upsilon(1000): every vertex is the only point of p on a supporting
     # line of a width direction

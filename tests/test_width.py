@@ -26,6 +26,7 @@ from conftest import (
     random_polygon,
     random_unimodular,
     reduction_oracle,
+    region_scan_directions,
     region_scan_size,
     region_scan_width,
     spread_oracle,
@@ -257,6 +258,18 @@ def test_size_witness_matches_the_pair_loop(rng):
         assert lattice_size_square(p) == _pair_loop_size(p), p.vertices
 
 
+def test_listing_matches_the_region_scan(rng):
+    # listing_oracle, the reference of the width directions and of the pair
+    # loop, against the exhaustive scan at bounds on both sides of both
+    # successive minima, where the c = 1 and c = 2 rows switch on
+    for p in _region_scan_corpus(rng):
+        basis = _reduced_basis(p)
+        _, n1, _, n2 = basis
+        for bound in (n1 - 1, n1, n2, n2 + 1):
+            expected = region_scan_directions(p, bound)
+            assert listing_oracle(p, basis, bound) == expected, (p.vertices, bound)
+
+
 def test_size_witness_of_thin_polygons_matches_the_pair_loop(rng):
     # hulls in [0, D] x [0, h] under small unimodular maps: most have
     # n2 > n1 and a long row b2 + a*b1 of directions of width at most n2,
@@ -413,7 +426,7 @@ def test_reduction_matches_the_oracle(rng, minimality_corpus):
     assert count > 14_000
 
 
-def test_width_directions_and_size_witness_match_the_listing(rng, minimality_corpus):
+def test_listing_matches_the_oracle(rng, minimality_corpus):
     # the public answers against the listing of the directions of width at
     # most lambda1, and at most lambda2 through the pair loop
     count = 0
