@@ -244,7 +244,8 @@ def _iter_values(d: int) -> Iterator[tuple[str, tuple[int, ...]]]:
         for l in _shoulders(tag, d):
             head = (l,) if names[0] == "l" else ()
             for values in product(*_field_ranges(tag, d, l)):
-                if _side_conditions_hold(tag, d, values):
+                # side conditions bind only T1 and T2, the tags without l
+                if head or _side_conditions_hold(tag, d, values):
                     yield tag, head + values
 
 
@@ -463,51 +464,38 @@ def iter_convex_polygons(d: int) -> Iterator[Polygon]:
     [0,d] x [0,d], each exactly once (up to translation).
 
     Polygons are assembled from four angle-sorted edge chains, one per
-    quadrant of directions; only exact-extent polygons matter for width-d
-    searches since any smaller extent already forces a width below d.
+    quadrant of directions.  The chains of each quadrant are those of the
+    one before turned by 90 degrees, keyed by their displacement before the
+    turn.  The keys (a1, b1), (d - b1, a2), (d - a2, b3) and (d - b3,
+    d - a1) close the boundary with both extents d, so one ``product`` walks
+    the four free keys in lexicographic order, and a second one the chains
+    of each key tuple; the boundary starts at (d - a1, 0).  Only
+    exact-extent polygons matter for width-d searches since any smaller
+    extent already forces a width below d.
     """
     if d < 1:
         raise OutOfRange("need d >= 1")
-    base = _first_quadrant_chain_table(d)
-    turn = lambda ch: tuple((-ey, ex) for ex, ey in ch)
-    q2 = {k: [turn(ch) for ch in v] for k, v in base.items()}
-    q3 = {k: [turn(turn(ch)) for ch in v] for k, v in base.items()}
-    q4 = {k: [turn(turn(turn(ch))) for ch in v] for k, v in base.items()}
-
-    span = range(d + 1)
-    for a1 in span:
-        a4 = d - a1
-        for b1 in span:
-            right = base.get((a1, b1))
-            if not right:
+    tables = [_first_quadrant_chain_table(d)]
+    for _ in range(3):
+        tables.append(
+            {k: [tuple((-ey, ex) for ex, ey in ch) for ch in v] for k, v in tables[-1].items()}
+        )
+    right, up, left, down = tables
+    for a1, b1, a2, b3 in product(range(d + 1), repeat=4):
+        for c1, c2, c3, c4 in product(
+            right.get((a1, b1), ()), up.get((d - b1, a2), ()),
+            left.get((d - a2, b3), ()), down.get((d - b3, d - a1), ()),
+        ):
+            edges = c1 + c2 + c3 + c4
+            if len(edges) < 3:
                 continue
-            b2 = d - b1
-            for A2 in span:
-                up = q2.get((b2, A2))
-                if not up:
-                    continue
-                A3 = d - A2
-                for B3 in span:
-                    left = q3.get((A3, B3))
-                    if not left:
-                        continue
-                    down = q4.get((d - B3, a4))
-                    if not down:
-                        continue
-                    for c1 in right:
-                        for c2 in up:
-                            for c3 in left:
-                                for c4 in down:
-                                    edges = c1 + c2 + c3 + c4
-                                    if len(edges) < 3:
-                                        continue
-                                    x, y = d - a1, 0
-                                    cycle = []
-                                    for ex, ey in edges:
-                                        cycle.append((x, y))
-                                        x += ex
-                                        y += ey
-                                    yield polygon_from_cycle(cycle)
+            x, y = d - a1, 0
+            cycle = []
+            for ex, ey in edges:
+                cycle.append((x, y))
+                x += ex
+                y += ey
+            yield polygon_from_cycle(cycle)
 
 
 def iter_full_width_polygons(d: int) -> Iterator[Polygon]:

@@ -635,12 +635,19 @@ def deletion_corpus(rng: random.Random) -> list:
     return shapes
 
 
+@pytest.fixture(scope="session")
+def universe():
+    """The brute-force universe of each width d = 1..4: 5, 68, 794 and 8,157
+    polygons, 9,024 in all, built once per test session."""
+    return {d: tuple(iter_full_width_polygons(d)) for d in range(1, 5)}
+
+
 @pytest.fixture(scope="module")
-def minimality_corpus():
+def minimality_corpus(universe):
     # the 9,024 polygons of the d <= 4 universe, the 4,211 width-8 tuples,
     # the deletion corpus, and large images of every class of width <= 4
     rng = random.Random(0x1A77)
-    polygons = [p for d in range(1, 5) for p in iter_full_width_polygons(d)]
+    polygons = [p for d in range(1, 5) for p in universe[d]]
     polygons += [generate(t) for t in iter_type_params(8)]
     polygons += deletion_corpus(rng)
     for d in range(5):

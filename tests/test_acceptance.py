@@ -21,7 +21,6 @@ from latwidth import (
     four_direction_quadrangle,
     generate,
     is_inscribed_in_hexagon,
-    iter_full_width_polygons,
     lattice_points,
     lattice_size_square,
     lattice_width,
@@ -129,11 +128,11 @@ def test_criterion_05_size_equals_width(classes_by_width):
                 assert all(0 <= x <= d and 0 <= y <= d for x, y in image.vertices)
 
 
-def test_criterion_06_upsilon_lemma_over_the_universe():
+def test_criterion_06_upsilon_lemma_over_the_universe(universe):
     with criterion(6, "upsilon lemma over the d<=4 universe"):
         for d in range(1, 5):
             target = upsilon(d) if d >= 2 else None
-            for p in iter_full_width_polygons(d):
+            for p in universe[d]:
                 hit = upsilon_lemma_witness(p)
                 if hit is None:
                     continue

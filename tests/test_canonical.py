@@ -10,7 +10,6 @@ from latwidth import (
     four_direction_quadrangle,
     generate,
     hexagon,
-    iter_full_width_polygons,
     iter_type_params,
     lattice_points,
     lattice_width,
@@ -112,11 +111,9 @@ def _assert_pruned_search_matches_oracle(polygons):
         assert (form.vertices, witness) == (seq, m), p
 
 
-def test_pruned_search_matches_oracle_on_the_brute_force_universe():
+def test_pruned_search_matches_oracle_on_the_brute_force_universe(universe):
     # every polygon of width d <= 4 in the d-square: 9,024 in all
-    _assert_pruned_search_matches_oracle(
-        p for d in range(1, 5) for p in iter_full_width_polygons(d)
-    )
+    _assert_pruned_search_matches_oracle(p for d in range(1, 5) for p in universe[d])
 
 
 def test_pruned_search_matches_oracle_on_the_width_8_tuples():
@@ -192,10 +189,8 @@ def _assert_closed_form_matches_the_maps(polygons):
                 assert matrix == (m.a11, m.a12, m.a21, m.a22), (q.vertices, i, outgoing)
 
 
-def test_closed_form_candidates_on_the_brute_force_universe():
-    _assert_closed_form_matches_the_maps(
-        p for d in range(1, 5) for p in iter_full_width_polygons(d)
-    )
+def test_closed_form_candidates_on_the_brute_force_universe(universe):
+    _assert_closed_form_matches_the_maps(p for d in range(1, 5) for p in universe[d])
 
 
 def test_closed_form_candidates_on_the_width_8_tuples():

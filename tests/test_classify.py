@@ -289,8 +289,9 @@ def test_brute_force_guard():
 
 
 def test_box_enumeration_matches_subset_hulls():
-    # independent oracle: hulls of every subset of the (d+1)^2 grid
-    for d in (1, 2):
+    # independent oracle: hulls of every subset of the (d+1)^2 grid, 65,536
+    # subsets at d = 3
+    for d in (1, 2, 3):
         grid = [(x, y) for x in range(d + 1) for y in range(d + 1)]
         expected = set()
         for mask in range(1, 1 << len(grid)):
@@ -310,6 +311,13 @@ def test_box_enumeration_matches_subset_hulls():
             produced.add(p.vertices)
             assert convex_hull(p.vertices).vertices == p.vertices
         assert produced == expected
+
+
+def test_box_enumeration_counts():
+    # 2-dimensional convex lattice polygons with bounding box exactly
+    # [0, d]^2, up to translation
+    counts = [sum(1 for _ in iter_convex_polygons(d)) for d in range(1, 5)]
+    assert counts == [5, 80, 948, 9563]
 
 
 # per-tag (generated, duplicates); every tuple for d <= 8 gives a minimal

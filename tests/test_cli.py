@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -78,8 +79,11 @@ def test_lattice_size_command(capsys, tmp_path):
     assert set(data["witness"]) == {"a", "b"}
 
 
-def _cli_process(*argv, interpreter_flags=(), timeout=30, stdout=subprocess.PIPE):
-    # a separate interpreter, so a runaway computation ends at the timeout
+def _cli_process(
+    *argv, interpreter_flags=(), timeout=30, stdout=subprocess.PIPE, preexec_fn=None
+):
+    # a separate interpreter, so a runaway computation ends at the timeout;
+    # preexec_fn runs in the child before the interpreter starts
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)  # stdout is buffered, as in a plain shell
@@ -87,6 +91,7 @@ def _cli_process(*argv, interpreter_flags=(), timeout=30, stdout=subprocess.PIPE
     return subprocess.run(
         [sys.executable, *interpreter_flags, "-m", "latwidth.cli", *argv],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -196,6 +201,28 @@ def test_minimal_of_large_polygons_in_bounded_time(tmp_path):
         expected = {"minimal": False, "width": width, "offending_vertex": vertex}
         for command in ("minimal", "classify"):
             assert _run_cli_process(command, f, timeout=10) == expected, (command, name)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: with three width directions is_minimal still builds a "
+    "drop_vertex remainder, whose lattice_points list is O(D^2)",
+)
+def test_minimal_and_classify_of_the_large_right_triangle_under_a_memory_cap(tmp_path):
+    # conv{(0,0),(10^6,0),(0,10^6)} is minimal of width 10^6, inside the
+    # coordinate limit: minimal reports it and classify rejects its width
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    n = 1_000_000
+    f = write_polygon(tmp_path / "right.json", [[0, 0], [n, 0], [0, n]])
+    done = _cli_process("minimal", f, timeout=20, preexec_fn=cap_memory)
+    assert done.returncode == 0, done.stderr[-500:]
+    assert json.loads(done.stdout) == {"minimal": True, "width": n, "offending_vertex": None}
+    done = _cli_process("classify", f, timeout=20, preexec_fn=cap_memory)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: width parameter must be in [0, 16]\n",
+    )
 
 
 def _assert_witness_fits(witness, vertices, size):

@@ -12,7 +12,6 @@ from latwidth import (
     drop_vertex,
     generate,
     is_minimal,
-    iter_full_width_polygons,
     iter_type_params,
     lattice_points,
     lattice_width,
@@ -124,11 +123,11 @@ def test_drop_vertex_matches_the_box_scan(rng):
                 assert drop_vertex(p, v) == convex_hull(points - {v}), (p.vertices, v)
 
 
-def test_spliced_drop_vertex_matches_the_corner_triangle_hull(rng):
+def test_spliced_drop_vertex_matches_the_corner_triangle_hull(rng, universe):
     # every vertex of the 9,024 polygons of the d <= 4 universe, of the
     # 4,211 width-8 tuples, and of random points, segments, triangles and
     # quadrilaterals
-    polygons = [p for d in range(1, 5) for p in iter_full_width_polygons(d)]
+    polygons = [p for d in range(1, 5) for p in universe[d]]
     polygons += [generate(t) for t in iter_type_params(8)]
     shapes = {1: 0, 2: 0, 3: 0, 4: 0}
     while min(shapes.values()) < 300:

@@ -9,7 +9,6 @@ from latwidth import (
     drop_vertex,
     four_direction_quadrangle,
     invert_map,
-    iter_full_width_polygons,
     lattice_size_square,
     lattice_width,
     normalize_sign,
@@ -201,8 +200,8 @@ def _inverse_transpose(m: UnimodularMap, u):
     return normalize_sign((inv.a11 * u[0] + inv.a21 * u[1], inv.a12 * u[0] + inv.a22 * u[1]))
 
 
-def _region_scan_corpus(rng):
-    yield from (p for d in range(1, 5) for p in iter_full_width_polygons(d))
+def _region_scan_corpus(rng, universe):
+    yield from (p for d in range(1, 5) for p in universe[d])
     hulls = 0
     while hulls < 3000:
         p = random_hull(rng)
@@ -217,12 +216,12 @@ def _region_scan_corpus(rng):
             yield p
 
 
-def test_width_and_size_match_the_region_scan(rng):
+def test_width_and_size_match_the_region_scan(rng, universe):
     # the 9,024 polygons of the d <= 4 universe, random hulls, and images
     # with coordinates in the hundreds; widths, direction tuples, sizes and
     # witness maps must be identical to the exhaustive scans
     count = 0
-    for p in _region_scan_corpus(rng):
+    for p in _region_scan_corpus(rng, universe):
         count += 1
         assert lattice_width(p) == region_scan_width(p), p.vertices
         assert lattice_size_square(p) == region_scan_size(p), p.vertices
@@ -258,11 +257,11 @@ def test_size_witness_matches_the_pair_loop(rng):
         assert lattice_size_square(p) == _pair_loop_size(p), p.vertices
 
 
-def test_listing_matches_the_region_scan(rng):
+def test_listing_matches_the_region_scan(rng, universe):
     # listing_oracle, the reference of the width directions and of the pair
     # loop, against the exhaustive scan at bounds on both sides of both
     # successive minima, where the c = 1 and c = 2 rows switch on
-    for p in _region_scan_corpus(rng):
+    for p in _region_scan_corpus(rng, universe):
         basis = _reduced_basis(p)
         _, n1, _, n2 = basis
         for bound in (n1 - 1, n1, n2, n2 + 1):
