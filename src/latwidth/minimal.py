@@ -45,12 +45,13 @@ def drop_vertex(p: Polygon, vertex: Vec) -> Polygon:
 
     Only the points of T are hulled.  Their hull S, the "sail", lies in T and
     has the edge prev--next, so its counterclockwise arc from prev to next
-    is the part of the boundary on the vertex's side of the diagonal.  For
-    a triangle p, S is the result.  Otherwise the result is the untouched
-    vertices next, ..., prev followed by that arc: at prev the arc leaves
-    inside the cone of T, which turns strictly left of the edge into prev
-    (next lies strictly left of that edge line), and likewise at next, so
-    the spliced cycle is convex with no straight corner.
+    is the part of the boundary on the vertex's side of the diagonal.  The
+    result is the untouched vertices next, ..., prev followed by that arc.
+    For a triangle p the untouched vertices are next and prev alone, so
+    the result is S.  For more vertices, at prev the arc leaves inside the
+    cone of T, which turns strictly left of the edge into prev (next lies
+    strictly left of that edge line), and likewise at next, so the spliced
+    cycle is convex with no straight corner.
     """
     vs = p.vertices
     if vertex not in vs:
@@ -65,10 +66,7 @@ def drop_vertex(p: Polygon, vertex: Vec) -> Polygon:
     # three consecutive vertices of the cycle: counterclockwise and not
     # collinear, so only the rotation to the smallest vertex is missing
     triangle = polygon_from_cycle((prev, vertex, nxt))
-    sail = convex_hull(lattice_points(triangle) - {vertex})
-    if n == 3:
-        return sail
-    s = sail.vertices
+    s = convex_hull(lattice_points(triangle) - {vertex}).vertices
     k = s.index(prev)
     s = s[k:] + s[:k]
     return polygon_from_cycle(vs[i + 1:] + vs[:i] + s[1:s.index(nxt)])
@@ -132,18 +130,14 @@ def is_minimal(p: Polygon) -> MinimalityReport:
     is inside R, so N_Q(w) <= N_R(w) for every w; if Q still has width d,
     so has R, and v offends.  Otherwise R is built by ``drop_vertex``.  A
     point or segment remainder has width 0 < d.  For a 2-dimensional R or
-    Q the width is N(b1) of a reduced basis.  Only whether that width is
-    still d matters, so the reduction stops at the first lattice vector
-    narrower than d.  Q's reduction starts from p's reduced basis: Q
-    differs from p by one corner, so that basis is nearly reduced for it
-    and only a few rounds are needed.  When Q keeps less than width d, its
-    early-stopped reduction has found a lattice basis (c1, c2) with
-    N_Q(c1) < d, and R's reduction starts from it; any lattice basis is a
-    valid start (see ``_reduced_basis``).  R differs from Q only by part of
-    one corner triangle, so c1 is usually narrower than d for R as well
-    (for all 756 such remainders of the width-8 representatives), and then
-    the reduction stops after its first two evaluations.  A triangle p has
-    no Q, and R starts from p's reduced basis.
+    Q the width is N(b1) of its reduced basis, and v offends when that is
+    still d.  Q's reduction starts from p's reduced basis: Q differs from
+    p by one corner, so that basis is nearly reduced for it and only a few
+    rounds are needed.  When Q has width less than d, R's reduction starts
+    from Q's reduced basis (c1, c2); any lattice basis is a valid start
+    (see ``_reduced_basis``).  R differs from Q only by part of one corner
+    triangle, so (c1, c2) is nearly reduced for R in turn.  A triangle p
+    has no Q, and R starts from p's reduced basis.
     """
     if p.dimension == 0:
         return MinimalityReport(True, None, 0)
@@ -161,12 +155,12 @@ def is_minimal(p: Polygon) -> MinimalityReport:
         start = (b1, b2)
         if len(vs) > 3:
             i = vs.index(v)
-            c1, m1, c2, _ = _reduced_basis(polygon_from_cycle(vs[:i] + vs[i + 1:]), (b1, b2), d)
+            c1, m1, c2, _ = _reduced_basis(polygon_from_cycle(vs[:i] + vs[i + 1:]), (b1, b2))
             if m1 >= d:
                 return MinimalityReport(False, v, d)
             start = (c1, c2)
         remainder = drop_vertex(p, v)
-        if remainder.dimension == 2 and _reduced_basis(remainder, start, d)[1] >= d:
+        if remainder.dimension == 2 and _reduced_basis(remainder, start)[1] >= d:
             return MinimalityReport(False, v, d)
     return MinimalityReport(True, None, d)
 

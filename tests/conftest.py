@@ -129,7 +129,7 @@ def _best_step(p: Polygon, b1, n1: int, b2, n2: int) -> int:
     return 0
 
 
-def reduction_oracle(p: Polygon, start=((1, 0), (0, 1)), floor: int = 0):
+def reduction_oracle(p: Polygon, start=((1, 0), (0, 1))):
     """Generalized Gauss reduction with the step found by its own function
     and N(b2) evaluated again after each step; the reference for the loop
     of ``_reduced_basis``, which takes the step and its norm from one
@@ -138,7 +138,7 @@ def reduction_oracle(p: Polygon, start=((1, 0), (0, 1)), floor: int = 0):
     n1, n2 = width_in_direction(p, b1), width_in_direction(p, b2)
     if n2 < n1:
         b1, n1, b2, n2 = b2, n2, b1, n1
-    while n1 >= floor:
+    while True:
         mu = _best_step(p, b1, n1, b2, n2)
         if mu:
             b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])

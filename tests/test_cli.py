@@ -201,6 +201,17 @@ def test_minimal_of_large_polygons_in_bounded_time(tmp_path):
         expected = {"minimal": False, "width": width, "offending_vertex": vertex}
         for command in ("minimal", "classify"):
             assert _run_cli_process(command, f, timeout=10) == expected, (command, name)
+    # the image of conv{(0,0),(8,0),(0,8)} under (x, y) -> (125000x + y, x)
+    # reaches the coordinate limit, and n2 = d: (8, 0) is a strict extremum
+    # of neither b1 nor b2, so is_minimal builds its remainder from the
+    # corner triangle, here all of p, which spans 10^6 columns
+    f = write_polygon(tmp_path / "sheared.json", [[0, 0], [n, 8], [8, 0]])
+    assert _run_cli_process("minimal", f, timeout=10) == {
+        "minimal": True, "width": 8, "offending_vertex": None,
+    }
+    data = _run_cli_process("classify", f, timeout=10)
+    assert data["minimal"] and data["tag"] == "T1" and data["d"] == 8
+    assert data["params"] == {"x": 0, "y": 0} and data["key"] == "0,0,0,8,-8,0"
 
 
 @pytest.mark.xfail(

@@ -239,43 +239,42 @@ def test_convicted_vertices_keep_width(minimality_corpus):
             continue
         b1, d, b2, _ = _reduced_basis(p)
         for i, v in enumerate(vs):
-            if _reduced_basis(polygon_from_cycle(vs[:i] + vs[i + 1:]), (b1, b2), d)[1] >= d:
+            if _reduced_basis(polygon_from_cycle(vs[:i] + vs[i + 1:]), (b1, b2))[1] >= d:
                 convicted += 1
                 assert lattice_width(drop_vertex(p, v)).width == d, (vs, v)
     assert convicted > 30_000
 
 
 def test_early_stopping_reduction_matches_the_full_one(minimality_corpus):
-    # is_minimal asks only whether lambda1 >= d of every vertex-deleted cycle
-    # and every remainder; stopping at the first vector narrower than the
-    # floor gives the full reduction's answer, for the floors d and d + 1
+    # is_minimal reduces every vertex-deleted cycle and every remainder from
+    # p's reduced basis, not from the standard one; both starts give the
+    # same successive minima, and the result is a lattice basis
     checked = restarted = 0
     for p in minimality_corpus:
         if p.dimension < 2:
             continue
-        b1, d, b2, _ = _reduced_basis(p)
+        b1, _, b2, _ = _reduced_basis(p)
         vs = p.vertices
         subpolygons = [drop_vertex(p, v) for v in vs]
         subpolygons += [polygon_from_cycle(vs[:i] + vs[i + 1:]) for i in range(len(vs))]
         for q in subpolygons:
             if q.dimension < 2:
                 continue
-            width = _reduced_basis(q, (b1, b2))[1]
-            for floor in (d, d + 1):
-                c1, m1, c2, m2 = _reduced_basis(q, (b1, b2), floor)
-                assert (m1 >= floor) == (width >= floor), (vs, q.vertices, floor)
-                assert width_in_direction(q, c1) == m1 and abs(cross(c1, c2)) == 1
-                checked += 1
+            _, n1, _, n2 = _reduced_basis(q)
+            c1, m1, c2, m2 = _reduced_basis(q, (b1, b2))
+            assert (m1, m2) == (n1, n2), (vs, q.vertices)
+            assert width_in_direction(q, c1) == m1 and abs(cross(c1, c2)) == 1
+            checked += 1
         if len(vs) < 4:
             continue
-        # is_minimal starts each remainder's reduction from the basis at
-        # which the reduction of its vertex-deleted cycle stopped
+        # is_minimal starts each remainder's reduction from the reduced
+        # basis of its vertex-deleted cycle
         for i, remainder in enumerate(subpolygons[:len(vs)]):
             if remainder.dimension < 2:
                 continue
-            c1, _, c2, _ = _reduced_basis(polygon_from_cycle(vs[:i] + vs[i + 1:]), (b1, b2), d)
-            width = _reduced_basis(remainder, (b1, b2))[1]
-            assert (_reduced_basis(remainder, (c1, c2), d)[1] >= d) == (width >= d), (vs, i)
+            c1, _, c2, _ = _reduced_basis(polygon_from_cycle(vs[:i] + vs[i + 1:]), (b1, b2))
+            width = _reduced_basis(remainder)[1]
+            assert _reduced_basis(remainder, (c1, c2))[1] == width, (vs, i)
             restarted += 1
     assert checked > 100_000 and restarted > 30_000
 

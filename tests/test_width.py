@@ -336,14 +336,13 @@ def test_size_of_the_flat_triangle_lists_no_directions(monkeypatch):
 def test_reduction_from_any_start_basis(rng):
     # the successive minima do not depend on the basis the reduction starts
     # from, whether a random one or that of a polygon containing the input
-    # (a vertex deletion); the result is again a lattice basis.  With a
-    # floor, the reduction answers lambda1 >= floor as the full one does
+    # (a vertex deletion); the result is again a lattice basis
     for _ in range(1000):
         p = random_polygon(rng, span=8, points=5)
         remainder = drop_vertex(p, rng.choice(p.vertices))
         if remainder.dimension < 2:
             continue
-        b1, d, b2, _ = _reduced_basis(p)
+        b1, _, b2, _ = _reduced_basis(p)
         m = random_unimodular(rng, magnitude=40)
         _, n1, _, n2 = _reduced_basis(remainder)
         for start in ((b1, b2), ((m.a11, m.a12), (m.a21, m.a22))):
@@ -352,11 +351,6 @@ def test_reduction_from_any_start_basis(rng):
             assert abs(cross(c1, c2)) == 1
             assert width_in_direction(remainder, c1) == m1
             assert width_in_direction(remainder, c2) == m2
-            for floor in (d, d + 1):
-                c1, m1, c2, _ = _reduced_basis(remainder, start, floor)
-                assert (m1 >= floor) == (n1 >= floor)
-                assert abs(cross(c1, c2)) == 1
-                assert width_in_direction(remainder, c1) == m1
 
 
 def test_first_matches_a_linear_scan():
@@ -405,23 +399,20 @@ def _without_a_vertex(rng, p):
 def test_reduction_matches_the_oracle(rng, minimality_corpus):
     # the 4-tuples of the one-search loop and of the step function it
     # replaced: from the standard start, for a vertex deletion from p's
-    # reduced basis, and from a random unimodular start, each with the
-    # floors d and d + 1 as ``is_minimal`` asks
+    # reduced basis, and from a random unimodular start
     count = 0
     for p in _search_corpus(rng, minimality_corpus):
         count += 1
         basis = _reduced_basis(p)
         assert basis == reduction_oracle(p), p.vertices
-        b1, d, b2, _ = basis
+        b1, _, b2, _ = basis
         m = random_unimodular(rng, magnitude=40)
         remainder = _without_a_vertex(rng, p)
         cases = [(p, ((m.a11, m.a12), (m.a21, m.a22)))]
         if remainder.dimension == 2:
             cases.append((remainder, (b1, b2)))
         for q, start in cases:
-            for floor in (0, d, d + 1):
-                got = _reduced_basis(q, start, floor)
-                assert got == reduction_oracle(q, start, floor), (q.vertices, start, floor)
+            assert _reduced_basis(q, start) == reduction_oracle(q, start), (q.vertices, start)
     assert count > 14_000
 
 
