@@ -364,12 +364,12 @@ def enumerate_minimal_with_stats(
     T3..T5, of the hexagon (d, l).  ``_orbit`` lists these images as maps
     on the parameter values, so the tuples fall into orbits whose polygons
     are unimodular images of one another.  The walk builds a polygon only
-    for the first tuple of each orbit in ``iter_type_params`` order.  That
-    tuple is keyed by its canonical form; a key already stored is a
-    duplicate, and a new key is filtered for minimality and for width
-    exactly d and is stored if it passes.  Its outcome then waits in
-    ``pending`` under every later tuple of the orbit, and a tuple found
-    there builds nothing and counts that outcome.
+    for the first tuple of each orbit in ``iter_type_params`` order, which
+    counts the whole orbit.  It is keyed by its canonical form; a key
+    already stored makes the orbit duplicates, and a new key is filtered
+    for minimality and for width exactly d: the orbit is then non-minimal
+    or of the wrong width, or the class is stored and the rest of the
+    orbit are duplicates.  The later tuples of the orbit are skipped.
 
     The stats and classes are those of keying every tuple afresh.  The
     canonical form, minimality and width are class invariants, so all the
@@ -385,33 +385,33 @@ def enumerate_minimal_with_stats(
         raise OutOfRange("width must be nonnegative")
     stats = EnumerationStats.empty()
     classes: dict[str, MinimalClass] = {}
-    pending: dict[tuple[str, tuple[int, ...]], dict[str, int]] = {}
-    for item in _iter_values(d):
-        tag, values = item
-        stats.generated[tag] += 1
-        outcome = pending.pop(item, None)
-        if outcome is not None:
-            outcome[tag] += 1
+    # the orbits' later tuples, by values alone: every orbit lies inside one
+    # tag, and the tags are walked in turn, so the set is empty at a tag's end
+    later: set[tuple[int, ...]] = set()
+    for tag, values in _iter_values(d):
+        if values in later:
+            later.remove(values)
             continue
+        orbit = _orbit(tag, d, values)
+        stats.generated[tag] += len(orbit)
         poly = _family_polygon(_family_points(tag, d, values), d)
         form = canonical_form(poly)
         key = form.byte_key
-        outcome = stats.duplicates  # the outcome of the orbit's later tuples
-        if key in classes:
-            outcome[tag] += 1
-        else:
+        outcome = stats.duplicates
+        if key not in classes:
             report = is_minimal(poly)
             if report.is_minimal and report.width == d:
                 params = TypeParams(tag, d, tuple(zip(_FIELD_NAMES[tag], values)))
                 classes[key] = MinimalClass(
                     form, params, lattice_point_count(poly), doubled_area(poly)
                 )
+                orbit.discard(values)
             else:
                 outcome = stats.wrong_width if report.is_minimal else stats.non_minimal
-                outcome[tag] += 1
-        for image in _orbit(tag, d, values):
-            if image != values:
-                pending[tag, image] = outcome
+        if orbit:  # += 0 would add a zero entry to the defaultdict
+            outcome[tag] += len(orbit)
+        later |= orbit
+        later.discard(values)
     ordered = sorted(classes.values(), key=lambda c: (c.point_count, c.key))
     return tuple(ordered), stats
 

@@ -259,10 +259,10 @@ def lattice_size_square(p: Polygon) -> SizeResult:
     row has any: 2*b2 + a*b1 with a odd is 2*(b2 + k*b1) +- b1, of width at
     least 2*n2 - n1 > n2, and rows c >= 3 have width at least 3*n2/2.  Each
     coordinate of b2 + a*b1 is linear in a, so the row's smallest key, at
-    a0, lies at lo, at hi or next to the zero of a coordinate.  As
-    det(b1, b2 + a*b1) = det(b1, b2) = +-1 for every a, w = row(a0) when
-    v = b1.  Otherwise v = row(a0), and det(row(a0), row(a)) is
-    (a0 - a)*det(b1, b2), so w is the first of b1 and row(a0 +- 1).
+    some a0, lies at lo, at hi or next to the zero of a coordinate; the
+    candidates are b1 and the rows at and next to those points.  They hold
+    w: det(b1, row(a)) = +-1 for every a, and det(row(a0), row(a)) is
+    (a0 - a)*det(b1, b2), so when v = row(a0), w is b1 or row(a0 +- 1).
     """
     if p.dimension == 0:
         vtx = p.vertices[0]
@@ -277,25 +277,23 @@ def lattice_size_square(p: Polygon) -> SizeResult:
     basis = _standard_reduction(p)
     b1, n1, b2, n2 = basis
     if n2 == n1:
-        candidates = sorted(_width_directions(p, basis), key=_size_key)
-        v = candidates[0]
-        w = next(w for w in candidates if abs(cross(v, w)) == 1)
-        return SizeResult(n2, _witness_from_rows(p, v, w))
+        candidates = _width_directions(p, basis)
+    else:
+        def row(a: int) -> Vec:
+            return normalize_sign((b2[0] + a * b1[0], b2[1] + a * b1[1]))
 
-    def row(a: int) -> Vec:
-        return normalize_sign((b2[0] + a * b1[0], b2[1] + a * b1[1]))
+        def f(a: int) -> int:
+            return width_in_direction(p, row(a))
 
-    def f(a: int) -> int:
-        return width_in_direction(p, row(a))
-
-    reach = 2 * n2 // n1
-    lo = _first(lambda a: f(a) <= n2, -reach, 0)
-    hi = _first(lambda a: f(a) > n2, 0, reach + 1) - 1
-    zeros = [-b2[i] // b1[i] for i in (0, 1) if b1[i]]
-    near = {lo, hi} | {min(max(a, lo), hi) for z in zeros for a in (z, z + 1)}
-    a0 = min(near, key=lambda a: _size_key(row(a)))
-    u1 = normalize_sign(b1)
-    v, w = sorted((u1, row(a0)), key=_size_key)
-    if v != u1:
-        w = min([u1] + [row(a) for a in (a0 - 1, a0 + 1) if lo <= a <= hi], key=_size_key)
+        reach = 2 * n2 // n1
+        lo = _first(lambda a: f(a) <= n2, -reach, 0)
+        hi = _first(lambda a: f(a) > n2, 0, reach + 1) - 1
+        zeros = [-b2[i] // b1[i] for i in (0, 1) if b1[i]]
+        near = {lo, hi} | {min(max(a, lo), hi) for z in zeros for a in (z, z + 1)}
+        candidates = [normalize_sign(b1)] + [
+            row(a + s) for a in near for s in (-1, 0, 1) if lo <= a + s <= hi
+        ]
+    candidates.sort(key=_size_key)
+    v = candidates[0]
+    w = next(w for w in candidates if abs(cross(v, w)) == 1)
     return SizeResult(n2, _witness_from_rows(p, v, w))

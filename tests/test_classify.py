@@ -391,9 +391,13 @@ def test_parameter_orbits_are_the_keyed_images(d):
         assert {(tag, image) for image in _orbit(tag, d, values)} == keyed, (tag, values)
 
 
-@pytest.mark.parametrize("d, orbits", [(8, 636), (10, 2676)])
+@pytest.mark.parametrize(
+    "d, orbits", enumerate((1, 1, 4, 7, 22, 48, 128, 276, 636, 1299, 2676))
+)
 def test_parameter_orbits_part_the_tuples(d, orbits):
-    # every image is a tuple of the same tag, and the orbits are disjoint
+    # every image is a tuple of the same tag, and the orbits are disjoint;
+    # the enumerator keys its set of later orbit tuples by values alone,
+    # which needs each tag's orbits to close inside that tag
     tuples = set(_iter_values(d))
     found = {frozenset((tag, image) for image in _orbit(tag, d, values)) for tag, values in tuples}
     assert set().union(*found) == tuples
@@ -441,11 +445,19 @@ def test_orbit_memo_matches_the_unmemoized_loop(d):
     assert stats == expected_stats
 
 
-def test_orbit_walk_counts_a_rejected_class_as_non_minimal(monkeypatch):
-    # no family tuple is non-minimal, so reject the class with the most
-    # tuples at width 8, which spans more than one orbit: its first tuple
-    # fails the test, and the rest of its orbits must count as non-minimal
-    # too, tag by tag, as in the oracle
+@pytest.mark.parametrize(
+    "outcome, rejection",
+    [
+        ("non_minimal", lambda p, report: MinimalityReport(False, p.vertices[0], report.width)),
+        ("wrong_width", lambda p, report: MinimalityReport(True, None, report.width - 1)),
+    ],
+    ids=["non-minimal", "wrong-width"],
+)
+def test_orbit_walk_counts_a_rejected_class_as_non_minimal(monkeypatch, outcome, rejection):
+    # no family tuple is non-minimal or of the wrong width, so reject the
+    # class with the most tuples at width 8, which spans more than one
+    # orbit: its first tuple fails the test, and the rest of its orbits
+    # must count with the same outcome too, tag by tag, as in the oracle
     d = 8
     params = list(iter_type_params(d))
     keys = [canonical_form(generate(t)).byte_key for t in params]
@@ -458,7 +470,7 @@ def test_orbit_walk_counts_a_rejected_class_as_non_minimal(monkeypatch):
     def rejecting(p):
         report = is_minimal(p)
         if canonical_form(p).byte_key == rejected:
-            return MinimalityReport(False, p.vertices[0], report.width)
+            return rejection(p, report)
         return report
 
     monkeypatch.setattr(classify_module, "is_minimal", rejecting)
@@ -468,7 +480,7 @@ def test_orbit_walk_counts_a_rejected_class_as_non_minimal(monkeypatch):
     assert summary(classes) == summary(expected)
     assert stats == expected_stats
     assert rejected not in {c.key for c in classes}
-    assert stats.non_minimal == Counter(tag for tag, _ in in_class)
+    assert getattr(stats, outcome) == Counter(tag for tag, _ in in_class) == {"T2": 16}
 
 
 def test_vertex_count_ceilings_per_tag():
